@@ -42,7 +42,7 @@ the regime for which the paper designed SLR+ with the combined operator.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.analysis.transfer import (
@@ -75,11 +75,26 @@ from repro.solvers.slr_side import SideResult
 
 @dataclass(frozen=True, slots=True)
 class PP:
-    """A program point in a calling context."""
+    """A program point in a calling context.
+
+    Every solver dict and set is keyed by unknowns, so the hash is
+    computed once, at construction: it is the hash of the field tuple.
+    """
 
     fn: str
     ctx: Hashable
     node: Node
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.fn, self.ctx, self.node)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields: string hashes differ between processes.
+        return (PP, (self.fn, self.ctx, self.node))
 
     def __repr__(self) -> str:
         return f"PP({self.fn}@{self.node.index}, ctx={self.ctx!r})"
@@ -87,12 +102,30 @@ class PP:
 
 @dataclass(frozen=True, slots=True)
 class GV:
-    """A flow-insensitive global variable."""
+    """A flow-insensitive global variable (hashed once, like :class:`PP`)."""
 
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (GV, (self.name,))
 
     def __repr__(self) -> str:
         return f"GV({self.name})"
+
+
+class _GlobalKeys(dict):
+    """Global name -> its :class:`GV`, made on first lookup."""
+
+    def __missing__(self, name: str) -> GV:
+        key = self[name] = GV(name)
+        return key
 
 
 #: Union tags.
@@ -243,6 +276,8 @@ class InterAnalysis:
             branches[_env_tag(name)] = env_lat
         self.lattice = TaggedUnionLattice(branches)
         self._global_arrays = frozenset(cfg.global_arrays)
+        #: One key object per global, shared by every right-hand side.
+        self._gvs = _GlobalKeys()
 
     # ------------------------------------------------------------- #
     # System construction.                                          #
@@ -255,8 +290,22 @@ class InterAnalysis:
         return PP(self.entry_fn, ctx, fn.exit)
 
     def system(self) -> FunSideSystem:
-        """The side-effecting equation system of the whole program."""
-        return FunSideSystem(self.lattice, self._rhs_of)
+        """The side-effecting equation system of the whole program.
+
+        The system builds each unknown's right-hand side once, on first
+        request, and keeps it for its own lifetime: one solve, its
+        escalation retries and its post-solution check share the
+        closures.  A closure keeps no state between evaluations.
+        """
+        built: Dict[Hashable, Callable] = {}
+
+        def rhs_of(unknown):
+            rhs = built.get(unknown)
+            if rhs is None:
+                rhs = built[unknown] = self._rhs_of(unknown)
+            return rhs
+
+        return FunSideSystem(self.lattice, rhs_of)
 
     def _initial_env(self, fn: FunctionCFG, args: Optional[List[object]]) -> FrozenMap:
         dom = self.domain
@@ -285,7 +334,18 @@ class InterAnalysis:
         env_lat = self._env_lats[pp.fn]
         tag = _env_tag(pp.fn)
         dom = self.domain
+        lattice = self.lattice
+        global_arrays = self._global_arrays
         is_program_entry = pp.fn == self.entry_fn and pp.node == fn.entry
+        # Built once per closure, so every evaluation hands the solver
+        # the same key objects.
+        in_edges = [
+            (PP(pp.fn, pp.ctx, edge.src), edge.instr)
+            for edge in fn.in_edges(pp.node)
+        ]
+        scalars = frozenset(fn.locals)
+        arrays = frozenset(fn.arrays)
+        gvs = self._gvs
 
         def rhs(get, side):
             # Side effects are buffered and joined per target: one rhs
@@ -294,31 +354,25 @@ class InterAnalysis:
             buffer: Dict[object, object] = {}
 
             def write_global(name: str, value) -> None:
-                key = GV(name)
+                key = gvs[name]
                 old = buffer.get(key, dom.bottom)
-                if name in self._global_arrays:
+                if name in global_arrays:
                     # Weak update: global arrays keep their zero init.
                     value = dom.join(value, dom.from_const(0))
                 buffer[key] = dom.join(old, value)
 
             def read_global(name: str):
-                wrapped = get(GV(name))
+                wrapped = get(gvs[name])
                 if wrapped == UNION_BOT:
                     return dom.bottom
-                return self.lattice.payload(wrapped)
+                return lattice.payload(wrapped)
 
             tc = TransferContext(
                 domain=dom,
-                scalars=frozenset(fn.locals),
-                arrays=frozenset(fn.arrays),
+                scalars=scalars,
+                arrays=arrays,
                 globals=GlobalsAccess(read=read_global, write=write_global),
             )
-
-            def get_env(node: Node):
-                wrapped = get(PP(pp.fn, pp.ctx, node))
-                if wrapped == UNION_BOT:
-                    return LiftedBottom
-                return self.lattice.payload(wrapped)
 
             if is_program_entry:
                 # The program entry seeds the globals with their static
@@ -327,22 +381,24 @@ class InterAnalysis:
                 for g, init in self.cfg.global_scalars.items():
                     write_global(g, dom.from_const(init))
                 for g in self.cfg.global_arrays:
-                    buffer[GV(g)] = dom.join(
-                        buffer.get(GV(g), dom.bottom), dom.from_const(0)
+                    key = gvs[g]
+                    buffer[key] = dom.join(
+                        buffer.get(key, dom.bottom), dom.from_const(0)
                     )
                 total = self._initial_env(fn, None)
             else:
                 total = LiftedBottom
-                for edge in fn.in_edges(pp.node):
-                    env = get_env(edge.src)
+                for src, instr in in_edges:
+                    wrapped = get(src)
+                    if wrapped == UNION_BOT:
+                        continue
+                    env = lattice.payload(wrapped)
                     if env is LiftedBottom:
                         continue
-                    if isinstance(edge.instr, CallInstr):
-                        out = self._transfer_call(
-                            tc, env, edge.instr, get, buffer
-                        )
+                    if isinstance(instr, CallInstr):
+                        out = self._transfer_call(tc, env, instr, get, buffer)
                     else:
-                        out = apply_instr(tc, env, edge.instr)
+                        out = apply_instr(tc, env, instr)
                     total = env_lat.join(total, out)
 
             # Entry nodes of non-entry functions receive their states via
@@ -351,13 +407,13 @@ class InterAnalysis:
             # joining).
             for key, value in buffer.items():
                 if isinstance(key, GV):
-                    side(key, self.lattice.inject(_VAL, value))
+                    side(key, lattice.inject(_VAL, value))
                 else:
                     # A callee entry state from a call edge.
-                    side(key, self.lattice.inject(_env_tag(key.fn), value))
+                    side(key, lattice.inject(_env_tag(key.fn), value))
             if total is LiftedBottom:
                 return UNION_BOT
-            return self.lattice.inject(tag, total)
+            return lattice.inject(tag, total)
 
         return rhs
 

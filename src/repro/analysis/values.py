@@ -82,6 +82,14 @@ class IntervalDomain(NumericDomain):
 
     def __init__(self, thresholds=()) -> None:
         self.iv = IntervalLattice(thresholds=thresholds)
+        # The hot lattice operations are the interval lattice's own bound
+        # methods: no extra Python frame per value.  The delegating
+        # methods below keep the class concrete and document the API.
+        self.leq = self.iv.leq
+        self.join = self.iv.join
+        self.meet = self.iv.meet
+        self.widen = self.iv.widen
+        self.narrow = self.iv.narrow
 
     # Lattice structure delegates to the interval lattice. ------------- #
 

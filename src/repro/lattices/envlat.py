@@ -125,6 +125,9 @@ class ArrayEnvLattice(MapLattice):
     def __init__(self, keys: Iterable[Hashable], value: Lattice) -> None:
         super().__init__(keys, value)
         self._schema = EnvSchema(self._keys)
+        # A value lattice that keeps the inherited ``equal`` (plain
+        # ``==``) lets ``equal`` compare whole value tuples in C.
+        self._tuple_equal = type(value).equal is Lattice.equal
         n = len(self._schema)
         self._bottom = ArrayEnv(self._schema, [value.bottom] * n)
         self._top = ArrayEnv(self._schema, [value.top] * n)
@@ -160,6 +163,8 @@ class ArrayEnvLattice(MapLattice):
     def equal(self, a, b) -> bool:
         if a is b:
             return True
+        if self._tuple_equal:
+            return self._vals(a) == self._vals(b)
         return all(map(self._value.equal, self._vals(a), self._vals(b)))
 
     def join(self, a, b) -> ArrayEnv:

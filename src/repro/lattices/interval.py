@@ -22,6 +22,11 @@ from repro.lattices.base import Lattice, LatticeError
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
+#: Every ``int`` in this range converts to an (integral) float; bounds
+#: outside it still take the conversion, which may raise OverflowError.
+_FLOAT_SAFE_MIN = -(2**1023)
+_FLOAT_SAFE_MAX = 2**1023
+
 
 @dataclass(frozen=True, slots=True)
 class Interval:
@@ -35,12 +40,22 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise LatticeError(f"empty interval [{self.lo}, {self.hi}]")
-        if self.lo != NEG_INF and not float(self.lo).is_integer():
-            raise LatticeError(f"non-integer lower bound {self.lo}")
-        if self.hi != POS_INF and not float(self.hi).is_integer():
-            raise LatticeError(f"non-integer upper bound {self.hi}")
+        lo, hi = self.lo, self.hi
+        if lo > hi:
+            raise LatticeError(f"empty interval [{lo}, {hi}]")
+        # An exact int in float range is integral: skip the conversion.
+        if (
+            (type(lo) is not int or not _FLOAT_SAFE_MIN <= lo <= _FLOAT_SAFE_MAX)
+            and lo != NEG_INF
+            and not float(lo).is_integer()
+        ):
+            raise LatticeError(f"non-integer lower bound {lo}")
+        if (
+            (type(hi) is not int or not _FLOAT_SAFE_MIN <= hi <= _FLOAT_SAFE_MAX)
+            and hi != POS_INF
+            and not float(hi).is_integer()
+        ):
+            raise LatticeError(f"non-integer upper bound {hi}")
 
     def __repr__(self) -> str:
         lo = "-oo" if self.lo == NEG_INF else str(int(self.lo))

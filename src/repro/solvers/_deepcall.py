@@ -7,6 +7,11 @@ interpreter stack cannot host tens of thousands of such frames -- raising
 pass through C frames (``max``, ``min``, comprehensions) which consume the
 native stack.  The helper below therefore runs a solver body in a dedicated
 thread with a large native stack.
+
+Both settings are process-wide, and several solves may run at once (the
+service runs one per worker thread).  The recursion limit is therefore
+only ever raised, never restored, and the stack size is set and restored
+around a thread start under one lock.
 """
 
 from __future__ import annotations
@@ -23,6 +28,20 @@ _STACK_BYTES = 512 * 1024 * 1024
 #: Python-level recursion limit inside solver threads.
 _RECURSION_LIMIT = 1_000_000
 
+#: Serialises changes to the process-wide recursion limit and stack size.
+_SETTINGS_LOCK = threading.Lock()
+
+
+def ensure_recursion_limit(limit: int) -> None:
+    """Raise the process-wide recursion limit to at least ``limit``.
+
+    Never lowers it: a lower limit would abort any thread that is
+    deeper than that at the moment.
+    """
+    with _SETTINGS_LOCK:
+        if sys.getrecursionlimit() < limit:
+            sys.setrecursionlimit(limit)
+
 
 def call_with_deep_stack(fn: Callable[[], T]) -> T:
     """Run ``fn`` on a thread with a large native stack and return its result.
@@ -33,22 +52,21 @@ def call_with_deep_stack(fn: Callable[[], T]) -> T:
     outcome: dict = {}
 
     def runner() -> None:
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))
         try:
             outcome["value"] = fn()
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             outcome["error"] = exc
-        finally:
-            sys.setrecursionlimit(old_limit)
 
-    old_size = threading.stack_size()
-    try:
-        threading.stack_size(_STACK_BYTES)
-        thread = threading.Thread(target=runner, name="repro-solver")
-        thread.start()
-    finally:
-        threading.stack_size(old_size)
+    ensure_recursion_limit(_RECURSION_LIMIT)
+    thread = threading.Thread(target=runner, name="repro-solver")
+    with _SETTINGS_LOCK:
+        # A thread's stack size is fixed when it starts, so restoring the
+        # default right after the start cannot shrink a running solve.
+        old_size = threading.stack_size(_STACK_BYTES)
+        try:
+            thread.start()
+        finally:
+            threading.stack_size(old_size)
     thread.join()
     if "error" in outcome:
         raise outcome["error"]

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterable, List, Sequence
 
+from repro.solvers._deepcall import ensure_recursion_limit
+
 
 def dfs_priority_order(
     roots: Sequence[Hashable],
@@ -138,18 +140,12 @@ def weak_topological_order(
     starts = [x for x in universe if not list(deps(x))]
     starts += [x for x in universe if x not in set(starts)]
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(universe) + 1000))
-    try:
-        for start in starts:
-            if dfn.get(start, _INFTY) == 0:
-                part: List[object] = []
-                visit(start, part)
-                partition.extend(part)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    ensure_recursion_limit(4 * len(universe) + 1000)
+    for start in starts:
+        if dfn.get(start, _INFTY) == 0:
+            part: List[object] = []
+            visit(start, part)
+            partition.extend(part)
 
     flat: List[Hashable] = []
 

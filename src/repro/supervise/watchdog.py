@@ -84,10 +84,11 @@ class Watchdog(SolverObserver):
 class DeadlineWatchdog(Watchdog):
     """Aborts the run once a wall-clock deadline passes.
 
-    The clock is read only every ``check_every`` evaluations: the check
-    must not cost measurable time on the no-fault hot path, and a
-    deadline is meaningful at a much coarser granularity than single
-    evaluations anyway.
+    The clock is read on the first evaluation, so a deadline that has
+    already passed trips before any work, and then every
+    ``check_every`` evaluations: the check must not cost measurable time
+    on the no-fault hot path, and a deadline is meaningful at a much
+    coarser granularity than single evaluations anyway.
     """
 
     def __init__(self, seconds: float, check_every: int = 16) -> None:
@@ -99,16 +100,17 @@ class DeadlineWatchdog(Watchdog):
         self.seconds = seconds
         self.check_every = check_every
         self.deadline: Optional[float] = None
-        self._ticks = 0
+        self._until_check = 1
 
     def on_start(self, engine) -> None:
         super().on_start(engine)
         self.deadline = time.monotonic() + self.seconds
 
     def on_eval(self, x) -> None:
-        self._ticks += 1
-        if self._ticks % self.check_every:
+        self._until_check -= 1
+        if self._until_check:
             return
+        self._until_check = self.check_every
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.trip(
                 DeadlineExceeded,

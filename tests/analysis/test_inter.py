@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import (
@@ -17,9 +22,14 @@ from repro.analysis.inter import (
     analyze_program_twophase,
     sign_context,
 )
+from repro.incremental import check_post_solution
 from repro.lang import compile_program
+from repro.lang.cfg import Node
 from repro.lattices.interval import Interval, POS_INF, const
 from repro.lattices.lifted import LiftedBottom
+from repro.solvers import WarrowCombine
+from repro.solvers.slr_side import solve_slr_side
+from repro.solvers.stats import DivergenceError
 
 dom = IntervalDomain()
 
@@ -204,3 +214,105 @@ class TestResultProjections:
         assert isinstance(root, PP)
         assert root.fn == "main"
         assert root.node == cfg.functions["main"].exit
+
+
+#: Builds the same two unknowns in any interpreter and pickles them.
+_UNKNOWNS = (
+    "from repro.analysis.inter import GV, PP\n"
+    "from repro.lang.cfg import Node\n"
+    "from repro.lattices.interval import Interval\n"
+    "ctx = (('b', Interval(1, 2)), ('tag', 'left'))\n"
+    "unknowns = (PP('f', ctx, Node('f', 3)), GV('g'))\n"
+)
+
+
+class TestUnknownKeys:
+    """PP and GV hash once, at construction; pickles carry no hash."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        ctx = (("b", Interval(1, 2)),)
+        node = Node("f", 3)
+        assert hash(PP("f", ctx, node)) == hash(("f", ctx, node))
+        assert hash(GV("g")) == hash(("g",))
+
+    def test_pickles_from_another_hash_seed_are_found_as_keys(self):
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        child = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                _UNKNOWNS + "import pickle, sys\n"
+                "sys.stdout.buffer.write(pickle.dumps((hash('f'), unknowns)))\n",
+            ],
+            env=env,
+            capture_output=True,
+            check=True,
+            timeout=60,
+        )
+        child_str_hash, (pp, gv) = pickle.loads(child.stdout)
+        # Precondition: the child really hashed strings differently.
+        assert child_str_hash != hash("f")
+        local: dict = {}
+        exec(_UNKNOWNS, local)
+        local_pp, local_gv = local["unknowns"]
+        assert (pp, gv) == (local_pp, local_gv)
+        table = {local_pp: "pp", local_gv: "gv"}
+        assert table[pp] == "pp"
+        assert table[gv] == "gv"
+        assert {pp, gv} == set(table)
+
+
+class TestSystemClosures:
+    """One system builds each right-hand side once, and it stays pure."""
+
+    def test_equal_unknowns_share_one_closure_per_system(self):
+        cfg = compile_program(EXAMPLE7)
+        analysis = InterAnalysis(cfg, dom, FullValueContext())
+        system = analysis.system()
+        root = analysis.root()
+        again = PP(root.fn, root.ctx, root.node)
+        assert again is not root
+        assert system.rhs(again) is system.rhs(root)
+        assert system.rhs(GV("g")) is system.rhs(GV("g"))
+        assert analysis.system().rhs(root) is not system.rhs(root)
+
+    def test_repeated_post_solution_checks_agree(self):
+        source = """
+        int g = 0;
+        int main() {
+            int i = 0;
+            while (i < 10) { g = i; i = i + 1; }
+            return i;
+        }
+        """
+        analysis = InterAnalysis(compile_program(source), dom)
+        system = analysis.system()
+        op = WarrowCombine(analysis.lattice)
+        with pytest.raises(DivergenceError) as stopped:
+            solve_slr_side(system, op, analysis.root(), max_evals=16)
+        partial = stopped.value.sigma
+        result = solve_slr_side(system, op, analysis.root())
+        assert check_post_solution(system, result.sigma) == []
+        assert check_post_solution(system, result.sigma) == []
+        # The closures both solves and both checks used evaluate the
+        # stopped run's values exactly as fresh closures do.
+        assert _evaluate_all(system, partial) == _evaluate_all(
+            analysis.system(), partial
+        )
+
+
+def _evaluate_all(system, sigma) -> dict:
+    """Each right-hand side of ``sigma``'s unknowns against ``sigma``:
+    its own value and the side effects it emits, in order."""
+
+    def get(y):
+        return sigma[y] if y in sigma else system.init(y)
+
+    out = {}
+    for x in sigma:
+        effects: list = []
+        own = system.rhs(x)(get, lambda z, d: effects.append((z, d)))
+        out[x] = (own, effects)
+    return out

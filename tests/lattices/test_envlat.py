@@ -3,8 +3,11 @@ and the lattice laws the hot-path rewrite must preserve."""
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from repro.analysis import IntervalDomain
 from repro.lattices import (
     ArrayEnv,
     ArrayEnvLattice,
@@ -13,8 +16,11 @@ from repro.lattices import (
     IntervalLattice,
     MapLattice,
 )
+from repro.lattices.base import Lattice
 from repro.lattices.interval import const
 from repro.lattices.maplat import FrozenMap
+from repro.lattices.product import ProductLattice
+from tests.conftest import interval_elements
 
 iv = IntervalLattice()
 KEYS = ("a", "b", "c")
@@ -139,3 +145,74 @@ class TestCodecRoundTrip:
 
         restored = SolverState.loads(blob, result.lattice)
         assert restored.sigma == state.sigma
+
+
+class _UnorderedSets(Lattice):
+    """Subsets of {0, 1, 2} kept as tuples in any order: ``equal`` is
+    set equality, so equal elements need not be ``==``."""
+
+    name = "unordered-sets"
+    bottom = ()
+    top = (0, 1, 2)
+
+    def leq(self, a, b):
+        return set(a) <= set(b)
+
+    def join(self, a, b):
+        return tuple(sorted(set(a) | set(b)))
+
+    def meet(self, a, b):
+        return tuple(sorted(set(a) & set(b)))
+
+    def equal(self, a, b):
+        return set(a) == set(b)
+
+
+_SETS = st.lists(st.sampled_from((0, 1, 2)), unique=True).map(tuple)
+_PRODUCT = ProductLattice([iv, _UnorderedSets()])
+
+
+def _pointwise_equal(value, a, b) -> bool:
+    return all(value.equal(a[k], b[k]) for k in KEYS)
+
+
+class TestEqualFastPath:
+    """``equal`` compares value tuples with one ``==`` only for value
+    lattices that inherit ``equal``; it must agree with the point-wise
+    definition either way."""
+
+    @pytest.mark.parametrize("value", [iv, IntervalDomain()])
+    @given(
+        st.lists(interval_elements(), min_size=6, max_size=6), st.booleans()
+    )
+    def test_inherited_equal_matches_pointwise(self, value, draws, twin):
+        lat = ArrayEnvLattice(KEYS, value)
+        a = lat.make(dict(zip(KEYS, draws[:3])))
+        # Equal-but-distinct copies of a's values, or independent ones.
+        b_values = [_copy(x) for x in draws[:3]] if twin else draws[3:]
+        b = lat.make(dict(zip(KEYS, b_values)))
+        expected = _pointwise_equal(value, a, b)
+        assert lat.equal(a, b) is expected
+        assert lat.equal(a, FrozenMap(dict(b))) is expected
+
+    @given(
+        st.lists(st.tuples(interval_elements(), _SETS), min_size=3, max_size=3),
+        st.lists(st.permutations((0, 1, 2)), min_size=3, max_size=3),
+    )
+    def test_overridden_equal_stays_pointwise(self, pairs, orders):
+        lat = ArrayEnvLattice(KEYS, _PRODUCT)
+        a = lat.make(dict(zip(KEYS, pairs)))
+        # The same sets, listed in another order: equal, but not ``==``.
+        shuffled = [
+            (i, tuple(x for x in order if x in s))
+            for (i, s), order in zip(pairs, orders)
+        ]
+        b = lat.make(dict(zip(KEYS, shuffled)))
+        assert _pointwise_equal(_PRODUCT, a, b)
+        assert lat.equal(a, b)
+        c = lat.make({**dict(zip(KEYS, shuffled)), "a": (const(99), ())})
+        assert lat.equal(a, c) is _pointwise_equal(_PRODUCT, a, c)
+
+
+def _copy(value):
+    return None if value is None else Interval(value.lo, value.hi)

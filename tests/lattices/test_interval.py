@@ -2,13 +2,46 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from repro.lattices import Interval, IntervalLattice, NEG_INF, POS_INF
 from repro.lattices.base import LatticeError
 from repro.lattices.interval import const, interval
 
 lat = IntervalLattice()
+
+
+def _reference_check(lo, hi) -> None:
+    """The constructor's validation before exact ints skipped ``float``."""
+    if lo > hi:
+        raise LatticeError(f"empty interval [{lo}, {hi}]")
+    if lo != NEG_INF and not float(lo).is_integer():
+        raise LatticeError(f"non-integer lower bound {lo}")
+    if hi != POS_INF and not float(hi).is_integer():
+        raise LatticeError(f"non-integer upper bound {hi}")
+
+
+def _outcome(check, lo, hi):
+    try:
+        check(lo, hi)
+    except (LatticeError, OverflowError) as err:
+        return type(err), str(err)
+    return None
+
+
+#: Bounds of every kind: small and float-overflowing ints, bools,
+#: integral and fractional floats, the infinities and NaN.
+_BOUNDS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.sampled_from([2**1023, 2**1023 + 1, 2**1024, -(2**1023) - 1, -(2**1024)]),
+    st.booleans(),
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([NEG_INF, POS_INF, float("nan")]),
+)
 
 
 class TestConstruction:
@@ -32,6 +65,16 @@ class TestConstruction:
     def test_repr(self):
         assert repr(Interval(1, 2)) == "[1,2]"
         assert repr(Interval(NEG_INF, 2)) == "[-oo,2]"
+
+    @given(_BOUNDS, _BOUNDS)
+    @example(2**1100, POS_INF)
+    @example(NEG_INF, -(2**1100))
+    @example(3, 2**1024)
+    @example(True, 1.0)
+    @example(0.5, POS_INF)
+    @example(float("nan"), 0)
+    def test_validation_matches_the_reference_check(self, lo, hi):
+        assert _outcome(Interval, lo, hi) == _outcome(_reference_check, lo, hi)
 
 
 class TestOrder:

@@ -3,11 +3,14 @@ taxonomy in the reply, ``deadline`` outcome in the request log."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import types
 
 import pytest
 
 from repro.service import ProtocolError, ServiceClient, solve_request_to_jobspec
+from repro.supervise import watchdog
 from tests.service.test_daemon import PROGRAM, run_scenario, unix_config
 
 
@@ -45,14 +48,21 @@ class TestProtocolField:
 
 
 class TestDeadlineKill:
-    def test_expired_deadline_reports_the_divergence_taxonomy(self, tmp_path):
+    def test_expired_deadline_reports_the_divergence_taxonomy(
+        self, tmp_path, monkeypatch
+    ):
+        # The watchdog's clock advances a full second per reading, so a
+        # 1 ms deadline has passed by the first evaluation of every
+        # escalation attempt, however fast the machine solves.
+        ticks = itertools.count(start=0.0, step=1.0)
+        monkeypatch.setattr(
+            watchdog, "time", types.SimpleNamespace(monotonic=ticks.__next__)
+        )
         log_path = tmp_path / "requests.ndjson"
         replies = {}
 
         def scenario(address):
             with ServiceClient(socket_path=address[1]) as client:
-                # 1 ms is far below any cold solve's wall time: the
-                # DeadlineWatchdog kills every escalation attempt.
                 replies["killed"] = client.solve(PROGRAM, deadline_ms=1)
                 replies["status"] = client.status()
 

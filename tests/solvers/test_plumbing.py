@@ -3,6 +3,8 @@ worklists, and the deep-stack runner."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.solvers._deepcall import call_with_deep_stack
@@ -119,3 +121,43 @@ class TestDeepCall:
             return max(0, deep(n - 1))
 
         assert call_with_deep_stack(lambda: deep(150_000)) == 0
+
+    def test_concurrent_calls_never_lower_the_recursion_limit(self):
+        # Two solves at once, as the service's worker threads run them: a
+        # short call that started first finishes while the second call is
+        # still running, and the second then recurses 20 000 frames deep.
+        short_running = threading.Event()
+        long_running = threading.Event()
+        short_done = threading.Event()
+        outcome = {}
+
+        def deep(n: int) -> int:
+            return 0 if n == 0 else deep(n - 1)
+
+        def short() -> str:
+            short_running.set()
+            assert long_running.wait(timeout=60)
+            return "short"
+
+        def long() -> int:
+            long_running.set()
+            assert short_done.wait(timeout=60)
+            return deep(20_000)
+
+        def run(name, fn) -> None:
+            try:
+                outcome[name] = call_with_deep_stack(fn)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                outcome[name] = exc
+            if name == "short":
+                short_done.set()
+
+        first = threading.Thread(target=run, args=("short", short))
+        second = threading.Thread(target=run, args=("long", long))
+        first.start()
+        assert short_running.wait(timeout=60)
+        second.start()
+        first.join(timeout=120)
+        second.join(timeout=120)
+        assert not first.is_alive() and not second.is_alive()
+        assert outcome == {"short": "short", "long": 0}
