@@ -86,7 +86,8 @@ class FleetConfig:
     cache_entries: int = 256
     #: Admission high watermark per shard.
     queue_high: int = 32
-    #: Read deadline per shard connection, seconds.
+    #: Read deadline per connection, seconds: every shard's and the
+    #: router's (see :attr:`RouterConfig.read_timeout`).
     read_timeout: Optional[float] = None
     #: Extra argv appended to every shard command (tests use this).
     extra_shard_args: Tuple[str, ...] = ()
@@ -300,6 +301,7 @@ def build_router(config: FleetConfig) -> RouterDaemon:
             replicas=config.replicas,
             shard_timeout=config.shard_timeout,
             health_interval=config.health_interval,
+            read_timeout=config.read_timeout,
             log_path=config.log_path,
         )
     )

@@ -16,11 +16,20 @@ Routing and resilience:
   :class:`~repro.fleet.ring.HashRing`.  Identical requests always land
   on the same shard, preserving single-flight coalescing and local
   cache locality; distinct requests spread across the fleet;
+* **pooled forwards** -- each :class:`ShardLink` keeps the connections
+  its finished forwards left idle and reuses them, so a forward costs
+  one request line and one reply line, not a connect and an accept.
+  Concurrent forwards hold separate connections, which the shard
+  serves in parallel;
 * **health** -- a background probe pings every shard on an interval;
   forwarding failures mark a shard unhealthy immediately, a successful
   probe restores it.  Unhealthy shards are skipped in preference order;
 * **failover** -- a transport failure against one shard retries the
   next shard on the ring's preference walk (bounded by fleet size).
+  A reused connection that fails before its first reply byte (the
+  shard restarted, or closed it while idle) is first retried once on
+  a new connection to the same shard; only a new connection's failure
+  counts against the shard.
   Shard *replies* are never second-guessed: ``overloaded``,
   ``draining``, ``bad-request`` and result payloads pass through
   verbatim, so the admission/deadline taxonomy of
@@ -37,6 +46,7 @@ Routing and resilience:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -55,7 +65,10 @@ from repro.service.protocol import (
     solve_request_to_jobspec,
 )
 from repro.service.reqlog import RequestLog
-from repro.service.sockets import prepare_socket_path
+from repro.service.sockets import RequestLines, prepare_socket_path
+
+#: One connection to a shard: its reader and writer.
+Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
 
 @dataclass
@@ -72,8 +85,34 @@ class ShardLink:
     forwarded: int = 0
     #: Transport failures observed against this shard.
     failures: int = 0
+    #: Connections opened to this shard (idle ones are reused).
+    connects: int = 0
     #: Monotonic timestamp of the last successful probe/forward.
     last_ok: float = field(default_factory=time.monotonic)
+    #: Idle connections as ``(idle since, reader, writer)``, with the
+    #: monotonic time each became idle; the most recently used last.
+    idle: List[Tuple[float, asyncio.StreamReader, asyncio.StreamWriter]] = (
+        field(default_factory=list, repr=False)
+    )
+
+    def take(self, max_idle: Optional[float]) -> Optional[Connection]:
+        """The most recently used idle connection, or ``None``.
+
+        Connections idle for ``max_idle`` seconds or longer are closed
+        instead of reused.
+        """
+        if max_idle is not None:
+            stale = time.monotonic() - max_idle
+            while self.idle and self.idle[0][0] <= stale:
+                self.idle.pop(0)[2].close()
+        if not self.idle:
+            return None
+        _, reader, writer = self.idle.pop()
+        return reader, writer
+
+    def close_idle(self) -> None:
+        while self.idle:
+            self.idle.pop()[2].close()
 
     def to_json(self) -> dict:
         return {
@@ -81,6 +120,7 @@ class ShardLink:
             "socket": self.socket_path,
             "healthy": self.healthy,
             "forwarded": self.forwarded,
+            "connects": self.connects,
             "failures": self.failures,
         }
 
@@ -95,12 +135,16 @@ class RouterConfig:
     shards: Tuple[Tuple[str, str], ...] = ()
     #: Virtual nodes per shard on the ring.
     replicas: int = DEFAULT_REPLICAS
-    #: Per-forward connect/read deadline against a shard, seconds.
+    #: Per-forward deadline against a shard, seconds (a reused
+    #: connection's retry on a new one included).
     shard_timeout: float = 600.0
     #: Health-probe cadence, seconds (``None`` disables the prober --
     #: forwards still mark failures, but recovery needs traffic).
     health_interval: Optional[float] = 2.0
-    #: Per-connection read deadline for client request lines.
+    #: Per-connection read deadline for request lines, the fleet's
+    #: ``--read-timeout``: the router applies it to its clients, and
+    #: since the shards apply it to the router's pooled connections, a
+    #: connection idle for half of it or longer is closed, not reused.
     read_timeout: Optional[float] = None
     #: Request-log file (NDJSON); ``None`` disables logging.
     log_path: Optional[str] = None
@@ -139,6 +183,11 @@ class RouterDaemon:
         }
         self.stale_socket_removed = False
         self._server: Optional[asyncio.AbstractServer] = None
+        self._lines = RequestLines(config.read_timeout)
+        #: Idle time after which a pooled connection is not reused.
+        self._max_idle = (
+            None if config.read_timeout is None else config.read_timeout / 2
+        )
         self._health_task: Optional[asyncio.Task] = None
         self._seq = 0
         self._draining = False
@@ -183,7 +232,10 @@ class RouterDaemon:
                 pass
         if self._server is not None:
             self._server.close()
+            self._lines.close_idle()
             await self._server.wait_closed()
+        for link in self.shards.values():
+            link.close_idle()
         if os.path.exists(self.config.socket_path):
             os.unlink(self.config.socket_path)
         self.log.close()
@@ -230,20 +282,13 @@ class RouterDaemon:
     # Connection handling (client side).                                #
     # ----------------------------------------------------------------- #
 
-    async def _read_request_line(self, reader: asyncio.StreamReader) -> bytes:
-        if self.config.read_timeout is None:
-            return await reader.readline()
-        return await asyncio.wait_for(
-            reader.readline(), timeout=self.config.read_timeout
-        )
-
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
             while True:
                 try:
-                    line = await self._read_request_line(reader)
+                    line = await self._lines.read(reader, writer)
                 except asyncio.TimeoutError:
                     self.counters["stalled"] += 1
                     writer.write(
@@ -373,27 +418,56 @@ class RouterDaemon:
     async def _roundtrip(
         self, link: ShardLink, payload: bytes, timeout: float
     ) -> bytes:
-        """One request/response line against a shard, bounded."""
+        """One request/response line against a shard, bounded.
+
+        Runs on an idle pooled connection when ``link`` has one, else on
+        a new one.  A reused connection that fails before its first
+        reply byte is retried once on a new connection; every other
+        failure raises, so only a new connection's failure (or a torn
+        reply) counts against the shard.
+        """
 
         async def exchange() -> bytes:
-            reader, writer = await asyncio.open_unix_connection(
-                link.socket_path
-            )
-            try:
-                writer.write(payload)
-                await writer.drain()
-                reply = await reader.readline()
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionResetError, BrokenPipeError):
-                    pass
+            reply = b""
+            connection = link.take(self._max_idle)
+            if connection is not None:
+                with contextlib.suppress(OSError):
+                    reply = await self._exchange(link, connection, payload)
+            if not reply:
+                connection = await asyncio.open_unix_connection(
+                    link.socket_path
+                )
+                link.connects += 1
+                reply = await self._exchange(link, connection, payload)
             if not reply.endswith(b"\n"):
                 raise ConnectionResetError("shard closed mid-response")
             return reply
 
         return await asyncio.wait_for(exchange(), timeout=timeout)
+
+    async def _exchange(
+        self, link: ShardLink, connection: Connection, payload: bytes
+    ) -> bytes:
+        """Write ``payload`` and read one line; ``b""`` if the shard
+        closed the connection first.
+
+        Only a complete reply line returns the connection to ``link``'s
+        pool (until the router drains); a failure, a timeout or a
+        cancellation closes it, so a late reply is never read as the
+        answer to another request.
+        """
+        reader, writer = connection
+        reply = b""
+        try:
+            writer.write(payload)
+            await writer.drain()
+            reply = await reader.readline()
+        finally:
+            if reply.endswith(b"\n") and not self._draining:
+                link.idle.append((time.monotonic(), reader, writer))
+            else:
+                writer.close()
+        return reply
 
     def _ranked(self, key: Optional[str]) -> List[ShardLink]:
         """Shards to try for ``key``: healthy in preference order, then

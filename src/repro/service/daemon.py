@@ -36,9 +36,10 @@ Production hardening (see ``docs/service-reliability.md``):
   structured ``overloaded`` error and a ``retry_after_ms`` hint instead
   of queueing unboundedly, and a max-connections cap refuses socket
   floods before they cost a file descriptor each;
-* **read deadlines** -- a connection that stalls mid-request line is
-  answered with a ``timeout`` error and closed, so slow clients cannot
-  pin protocol handling forever;
+* **read deadlines** -- a connection that delivers no complete request
+  line within the deadline, idle between requests or stalled mid-line,
+  is answered with a ``timeout`` error and closed, so slow clients
+  cannot pin protocol handling forever;
 * **crash-safe journaling** (:mod:`.journal`) -- admitted requests are
   journaled before work starts and settled at response; a restarted
   daemon reports interrupted requests and re-executes them into the
@@ -77,7 +78,7 @@ from repro.service.protocol import (
     solve_request_to_jobspec,
 )
 from repro.service.reqlog import RequestLog
-from repro.service.sockets import prepare_socket_path
+from repro.service.sockets import RequestLines, prepare_socket_path
 from repro.solvers.registry import capability_listing
 
 #: Result statuses worth caching: complete, independently verified
@@ -193,6 +194,7 @@ class AnalysisDaemon:
         self.journal = InflightJournal(self.config.journal_path)
         self._requeue_task: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        self._lines = RequestLines(self.config.read_timeout)
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, self.config.workers),
             thread_name_prefix="repro-service",
@@ -303,6 +305,7 @@ class AnalysisDaemon:
     async def _close(self) -> None:
         if self._server is not None:
             self._server.close()
+            self._lines.close_idle()
             await self._server.wait_closed()
         if self._requeue_task is not None and not self._requeue_task.done():
             # The requeue loop checks _draining between records, so this
@@ -337,14 +340,6 @@ class AnalysisDaemon:
     # Connection handling.                                              #
     # ----------------------------------------------------------------- #
 
-    async def _read_request_line(self, reader: asyncio.StreamReader) -> bytes:
-        """The next request line, bounded by the read deadline."""
-        if self.config.read_timeout is None:
-            return await reader.readline()
-        return await asyncio.wait_for(
-            reader.readline(), timeout=self.config.read_timeout
-        )
-
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -355,7 +350,7 @@ class AnalysisDaemon:
         try:
             while True:
                 try:
-                    line = await self._read_request_line(reader)
+                    line = await self._lines.read(reader, writer)
                 except asyncio.TimeoutError:
                     # A stalled client: no complete request line within
                     # the read deadline.  Answer, close, free the slot.

@@ -1,4 +1,6 @@
-"""UNIX-socket path hygiene shared by the daemon and the fleet router.
+"""Socket plumbing shared by the daemon and the fleet router.
+
+**Path hygiene.**
 
 A daemon that dies without draining (SIGKILL, interpreter abort, power
 loss) leaves its socket *file* behind -- a filesystem entry nothing
@@ -15,14 +17,22 @@ A short connect attempt distinguishes a live listener (somebody
 accepts) from a stale corpse (``ECONNREFUSED``/``ENOENT``); only the
 corpse is unlinked, and a live listener raises a clear
 :class:`SocketInUseError` naming the offending path.
+
+**Request lines.**  :class:`RequestLines` reads each connection's next
+request line under the read deadline and knows which connections are
+idle, waiting for one.  A drain closes those before awaiting
+``Server.wait_closed()``, which from Python 3.12.1 on waits for every
+open connection: one idle client would otherwise hold the drain open.
 """
 
 from __future__ import annotations
 
+import asyncio
 import errno
 import os
 import socket
 import stat
+from typing import Optional, Set
 
 #: How long the liveness probe waits for a connect, in seconds.  Local
 #: UNIX-socket accepts are effectively instant; anything slower than
@@ -81,3 +91,49 @@ def prepare_socket_path(path: str) -> bool:
     except FileNotFoundError:  # pragma: no cover - lost a benign race
         pass
     return True
+
+
+class RequestLines:
+    """The request-line reader of one server, aware of idle connections.
+
+    :param read_timeout: seconds a connection may take to deliver its
+        next complete line (``None``: wait forever); a lapse raises
+        :class:`asyncio.TimeoutError` from :meth:`read`.
+    """
+
+    def __init__(self, read_timeout: Optional[float]) -> None:
+        self.read_timeout = read_timeout
+        #: Set by :meth:`close_idle`; later reads end the connection.
+        self._closing = False
+        self._waiting: Set[asyncio.StreamWriter] = set()
+
+    async def read(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bytes:
+        """The connection's next request line; ``b""`` ends it.
+
+        While this waits the connection is idle, so a drain may close
+        it; once the drain has begun, a connection that has just been
+        answered gets ``b""`` instead of waiting for another request.
+        """
+        if self._closing:
+            return b""
+        self._waiting.add(writer)
+        try:
+            if self.read_timeout is None:
+                return await reader.readline()
+            return await asyncio.wait_for(
+                reader.readline(), timeout=self.read_timeout
+            )
+        finally:
+            self._waiting.discard(writer)
+
+    def close_idle(self) -> None:
+        """Close every connection waiting for a request line (a drain).
+
+        Requests already being served are answered first; their
+        connections close once they come back for the next line.
+        """
+        self._closing = True
+        for writer in list(self._waiting):
+            writer.close()

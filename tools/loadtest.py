@@ -802,6 +802,7 @@ def run_fleet(args, out: str) -> int:
                     "id": row.get("id"),
                     "healthy": row.get("healthy"),
                     "forwarded": row.get("forwarded"),
+                    "connects": row.get("connects"),
                     "requests": row.get("requests", {}),
                     "shared": row.get("shared", {}),
                 }
