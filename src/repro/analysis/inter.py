@@ -45,12 +45,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional
 
-from repro.analysis.transfer import (
-    GlobalsAccess,
-    TransferContext,
-    apply_instr,
-    eval_expr,
-)
+from repro.analysis.transfer import TransferCompiler
 from repro.analysis.values import NumericDomain
 from repro.eqs.side import FunSideSystem
 from repro.lang.cfg import (
@@ -278,6 +273,14 @@ class InterAnalysis:
         self._global_arrays = frozenset(cfg.global_arrays)
         #: One key object per global, shared by every right-hand side.
         self._gvs = _GlobalKeys()
+        #: Per node: ``(source node, staged step)`` for each in-edge,
+        #: staged on first use and shared by every context.
+        self._staged: Dict[Node, list] = {}
+        #: Per function: the compiler that stages its edges.
+        self._compilers: Dict[str, TransferCompiler] = {}
+        #: Per function: every local and array bound to 0, the base of
+        #: each initial environment.
+        self._zeros: Dict[str, dict] = {}
 
     # ------------------------------------------------------------- #
     # System construction.                                          #
@@ -308,14 +311,18 @@ class InterAnalysis:
         return FunSideSystem(self.lattice, rhs_of)
 
     def _initial_env(self, fn: FunctionCFG, args: Optional[List[object]]) -> FrozenMap:
-        dom = self.domain
-        bindings = {k: dom.from_const(0) for k in fn.locals}
-        for k in fn.arrays:
-            bindings[k] = dom.from_const(0)
+        zeros = self._zeros.get(fn.name)
+        if zeros is None:
+            zero = self.domain.from_const(0)
+            zeros = self._zeros[fn.name] = dict.fromkeys(
+                [*fn.locals, *fn.arrays], zero
+            )
+        bindings = dict(zeros)
         if args is None:
             # Entry function: parameters unconstrained.
+            top = self.domain.top
             for p in fn.params:
-                bindings[p] = dom.top
+                bindings[p] = top
         else:
             for p, v in zip(fn.params, args):
                 bindings[p] = v
@@ -335,71 +342,44 @@ class InterAnalysis:
         tag = _env_tag(pp.fn)
         dom = self.domain
         lattice = self.lattice
-        global_arrays = self._global_arrays
+        payload = lattice.payload
+        inject = lattice.inject
         is_program_entry = pp.fn == self.entry_fn and pp.node == fn.entry
         # Built once per closure, so every evaluation hands the solver
         # the same key objects.
         in_edges = [
-            (PP(pp.fn, pp.ctx, edge.src), edge.instr)
-            for edge in fn.in_edges(pp.node)
+            (PP(pp.fn, pp.ctx, src), step)
+            for src, step in self._in_steps(fn, pp.node)
         ]
-        scalars = frozenset(fn.locals)
-        arrays = frozenset(fn.arrays)
-        gvs = self._gvs
+        if is_program_entry:
+            # The program entry seeds the globals with their static
+            # initialisers (the paper's Example 9: "the initialization
+            # g = 0 is detected first").
+            zero = dom.from_const(0)
+            seeds = [
+                (self._write_global(g), dom.from_const(init))
+                for g, init in self.cfg.global_scalars.items()
+            ] + [(self._write_global(g), zero) for g in self.cfg.global_arrays]
 
         def rhs(get, side):
             # Side effects are buffered and joined per target: one rhs
             # evaluation may write the same global on several in-edges,
             # but SLR+ accepts at most one side effect per target.
             buffer: Dict[object, object] = {}
-
-            def write_global(name: str, value) -> None:
-                key = gvs[name]
-                old = buffer.get(key, dom.bottom)
-                if name in global_arrays:
-                    # Weak update: global arrays keep their zero init.
-                    value = dom.join(value, dom.from_const(0))
-                buffer[key] = dom.join(old, value)
-
-            def read_global(name: str):
-                wrapped = get(gvs[name])
-                if wrapped == UNION_BOT:
-                    return dom.bottom
-                return lattice.payload(wrapped)
-
-            tc = TransferContext(
-                domain=dom,
-                scalars=scalars,
-                arrays=arrays,
-                globals=GlobalsAccess(read=read_global, write=write_global),
-            )
-
             if is_program_entry:
-                # The program entry seeds the globals with their static
-                # initialisers (the paper's Example 9: "the initialization
-                # g = 0 is detected first").
-                for g, init in self.cfg.global_scalars.items():
-                    write_global(g, dom.from_const(init))
-                for g in self.cfg.global_arrays:
-                    key = gvs[g]
-                    buffer[key] = dom.join(
-                        buffer.get(key, dom.bottom), dom.from_const(0)
-                    )
+                for write, value in seeds:
+                    write(buffer, value)
                 total = self._initial_env(fn, None)
             else:
                 total = LiftedBottom
-                for src, instr in in_edges:
+                for src, step in in_edges:
                     wrapped = get(src)
                     if wrapped == UNION_BOT:
                         continue
-                    env = lattice.payload(wrapped)
+                    env = payload(wrapped)
                     if env is LiftedBottom:
                         continue
-                    if isinstance(instr, CallInstr):
-                        out = self._transfer_call(tc, env, instr, get, buffer)
-                    else:
-                        out = apply_instr(tc, env, instr)
-                    total = env_lat.join(total, out)
+                    total = env_lat.join(total, step(env, get, buffer))
 
             # Entry nodes of non-entry functions receive their states via
             # side effects from call edges; their own rhs contributes
@@ -407,56 +387,125 @@ class InterAnalysis:
             # joining).
             for key, value in buffer.items():
                 if isinstance(key, GV):
-                    side(key, lattice.inject(_VAL, value))
+                    side(key, inject(_VAL, value))
                 else:
                     # A callee entry state from a call edge.
-                    side(key, lattice.inject(_env_tag(key.fn), value))
+                    side(key, inject(_env_tag(key.fn), value))
             if total is LiftedBottom:
                 return UNION_BOT
-            return lattice.inject(tag, total)
+            return inject(tag, total)
 
         return rhs
 
-    def _transfer_call(
-        self,
-        tc: TransferContext,
-        env: FrozenMap,
-        instr: CallInstr,
-        get,
-        buffer: Dict[object, object],
-    ):
+    # ------------------------------------------------------------- #
+    # Staged edges.                                                 #
+    # ------------------------------------------------------------- #
+
+    def _in_steps(self, fn: FunctionCFG, node: Node) -> list:
+        """``(source node, step)`` for each in-edge of ``node``.
+
+        A step is the edge's transfer function staged once:
+        ``step(env, get, buffer)`` maps a reachable source state to the
+        target state, reads globals and callee exits through ``get`` and
+        buffers global writes and callee entry states in ``buffer``.
+        Staging happens on first use, during the solve, so building the
+        analysis stays cheap.
+        """
+        steps = self._staged.get(node)
+        if steps is None:
+            compiler = self._compilers.get(fn.name)
+            if compiler is None:
+                compiler = self._compilers[fn.name] = TransferCompiler(
+                    self.domain,
+                    frozenset(fn.locals),
+                    frozenset(fn.arrays),
+                    self._read_global,
+                    self._write_global,
+                )
+            steps = self._staged[node] = [
+                (
+                    edge.src,
+                    self._stage_call(compiler, edge.instr)
+                    if isinstance(edge.instr, CallInstr)
+                    else compiler.instr(edge.instr),
+                )
+                for edge in fn.in_edges(node)
+            ]
+        return steps
+
+    def _read_global(self, name: str):
+        """Staged read of global ``name``: its flow-insensitive unknown."""
+        key = self._gvs[name]
+        bottom = self.domain.bottom
+        payload = self.lattice.payload
+
+        def read(env, get):
+            wrapped = get(key)
+            if wrapped == UNION_BOT:
+                return bottom
+            return payload(wrapped)
+
+        return read
+
+    def _write_global(self, name: str):
+        """Staged write of global ``name``: joined into the buffer."""
+        key = self._gvs[name]
         dom = self.domain
+        weak = name in self._global_arrays
+        zero = dom.from_const(0)
+
+        def write(buffer, value) -> None:
+            if weak:
+                # Weak update: global arrays keep their zero init.
+                value = dom.join(value, zero)
+            buffer[key] = dom.join(buffer.get(key, dom.bottom), value)
+
+        return write
+
+    def _stage_call(self, compiler: TransferCompiler, instr: CallInstr):
+        """Stage a call edge: bind the arguments, side-effect the callee's
+        entry state into its context, read the return value from the
+        callee's exit."""
+        dom = self.domain
+        is_bottom = dom.is_bottom
+        lattice = self.lattice
         callee = self.cfg.functions[instr.func]
-        args = [eval_expr(tc, env, a) for a in instr.args]
-        if any(dom.is_bottom(a) for a in args):
-            return LiftedBottom
-        entry_env = self._initial_env(callee, args)
-        ctx = self.policy.context(callee, entry_env)
-        entry_pp = PP(instr.func, ctx, callee.entry)
-        # The callee's entry unknown is an env-typed side-effect target;
-        # multiple call edges in one rhs evaluation buffer-join just like
-        # globals do.
         callee_env_lat = self._env_lats[instr.func]
-        old = buffer.get(entry_pp)
-        if old is None:
-            buffer[entry_pp] = entry_env
-        else:
-            buffer[entry_pp] = callee_env_lat.join(old, entry_env)
-        wrapped_exit = get(PP(instr.func, ctx, callee.exit))
-        if wrapped_exit == UNION_BOT:
-            return LiftedBottom
-        exit_env = self.lattice.payload(wrapped_exit)
-        if exit_env is LiftedBottom:
-            return LiftedBottom
+        args = [compiler.expr(a) for a in instr.args]
         if instr.target is None:
-            return env
-        ret = exit_env[RETURN_SLOT]
-        if dom.is_bottom(ret):
-            return LiftedBottom
-        if instr.target in tc.scalars:
-            return env.set(instr.target, ret)
-        tc.globals.write(instr.target, ret)
-        return env
+            store = None
+        else:
+            store = compiler.store(instr.target, array=False)
+
+        def call(env, get, buffer):
+            values = [arg(env, get) for arg in args]
+            if any(is_bottom(a) for a in values):
+                return LiftedBottom
+            entry_env = self._initial_env(callee, values)
+            ctx = self.policy.context(callee, entry_env)
+            entry_pp = PP(instr.func, ctx, callee.entry)
+            # The callee's entry unknown is an env-typed side-effect
+            # target; multiple call edges in one rhs evaluation
+            # buffer-join just like globals do.
+            old = buffer.get(entry_pp)
+            if old is None:
+                buffer[entry_pp] = entry_env
+            else:
+                buffer[entry_pp] = callee_env_lat.join(old, entry_env)
+            wrapped_exit = get(PP(instr.func, ctx, callee.exit))
+            if wrapped_exit == UNION_BOT:
+                return LiftedBottom
+            exit_env = lattice.payload(wrapped_exit)
+            if exit_env is LiftedBottom:
+                return LiftedBottom
+            if store is None:
+                return env
+            ret = exit_env[RETURN_SLOT]
+            if is_bottom(ret):
+                return LiftedBottom
+            return store(env, buffer, ret)
+
+        return call
 
 
 # --------------------------------------------------------------------- #

@@ -10,6 +10,8 @@ doubles as a second, cheaper client of the same machinery.
 from __future__ import annotations
 
 from abc import abstractmethod
+from functools import partial
+from types import MethodType
 from typing import Tuple
 
 from repro.lattices.base import Lattice
@@ -62,6 +64,25 @@ class NumericDomain(Lattice):
             op = _NEGATE[op]
         return self._refine_true_cmp(op, a, b)
 
+    # Operators resolved once, for staged transfer functions
+    # (:class:`repro.analysis.transfer.TransferCompiler`).  Each returns
+    # a function equal to the generic method with ``op`` (and
+    # ``assume``) fixed; domains override them to hand out their own
+    # methods directly.  An unknown operator still raises when called.
+
+    def binop_fn(self, op: str):
+        """``binop`` with the operator fixed: ``(a, b) -> value``."""
+        return partial(self.binop, op)
+
+    def unop_fn(self, op: str):
+        """``unop`` with the operator fixed: ``a -> value``."""
+        return partial(self.unop, op)
+
+    def refine_fn(self, op: str, assume: bool):
+        """``refine_cmp`` with the comparison and outcome fixed:
+        ``(a, b) -> (a', b')``."""
+        return lambda a, b: self.refine_cmp(op, a, b, assume)
+
     def _refine_true_cmp(self, op: str, a, b) -> tuple:
         return (a, b)
 
@@ -69,6 +90,61 @@ class NumericDomain(Lattice):
         """Whether concrete ``n`` is represented by abstract ``a``
         (used by the soundness property tests)."""
         raise NotImplementedError
+
+
+def _swapped(pair: tuple) -> tuple:
+    return (pair[1], pair[0])
+
+
+def _interval_logic(iv: IntervalLattice, op: str, a, b):
+    """Non-short-circuit ``&&``/``||`` over interval truth values."""
+    if a is None or b is None:
+        return None
+    at, af = iv.truthiness(a)
+    bt, bf = iv.truthiness(b)
+    if op == "&&":
+        may_true = at and bt
+        may_false = af or bf
+    else:
+        may_true = at or bt
+        may_false = af and bf
+    if may_true and may_false:
+        return iv.BOTH
+    if may_true:
+        return iv.TRUE
+    if may_false:
+        return iv.FALSE
+    return None
+
+
+#: Operator -> interval function of ``(iv, a, b)`` (``(iv, a)`` for unary
+#: operators): the single dispatch table of ``IntervalDomain.binop``,
+#: ``unop`` and ``refine_cmp`` and of their staged forms.
+_IV = IntervalLattice
+_INTERVAL_BINOPS = {
+    "+": _IV.add,
+    "-": _IV.sub,
+    "*": _IV.mul,
+    "/": _IV.div,
+    "%": _IV.rem,
+    "<": _IV.cmp_lt,
+    "<=": _IV.cmp_le,
+    ">": lambda iv, a, b: iv.cmp_lt(b, a),
+    ">=": lambda iv, a, b: iv.cmp_le(b, a),
+    "==": _IV.cmp_eq,
+    "!=": _IV.cmp_ne,
+    "&&": lambda iv, a, b: _interval_logic(iv, "&&", a, b),
+    "||": lambda iv, a, b: _interval_logic(iv, "||", a, b),
+}
+_INTERVAL_UNOPS = {"-": _IV.neg, "!": _IV.logical_not}
+_INTERVAL_REFINERS = {
+    "<": _IV.refine_lt,
+    "<=": _IV.refine_le,
+    ">": lambda iv, a, b: _swapped(iv.refine_lt(b, a)),
+    ">=": lambda iv, a, b: _swapped(iv.refine_le(b, a)),
+    "==": _IV.refine_eq,
+    "!=": _IV.refine_ne,
+}
 
 
 class IntervalDomain(NumericDomain):
@@ -116,6 +192,10 @@ class IntervalDomain(NumericDomain):
     def narrow(self, a, b):
         return self.iv.narrow(a, b)
 
+    def is_bottom(self, a):
+        # Bottom is ``None``, and no interval equals it.
+        return a is None
+
     def validate(self, a):
         self.iv.validate(a)
 
@@ -128,79 +208,37 @@ class IntervalDomain(NumericDomain):
         return self.iv.from_const(n)
 
     def binop(self, op: str, a, b):
-        iv = self.iv
-        if op == "+":
-            return iv.add(a, b)
-        if op == "-":
-            return iv.sub(a, b)
-        if op == "*":
-            return iv.mul(a, b)
-        if op == "/":
-            return iv.div(a, b)
-        if op == "%":
-            return iv.rem(a, b)
-        if op == "<":
-            return iv.cmp_lt(a, b)
-        if op == "<=":
-            return iv.cmp_le(a, b)
-        if op == ">":
-            return iv.cmp_lt(b, a)
-        if op == ">=":
-            return iv.cmp_le(b, a)
-        if op == "==":
-            return iv.cmp_eq(a, b)
-        if op == "!=":
-            return iv.cmp_ne(a, b)
-        if op in ("&&", "||"):
-            return self._logic(op, a, b)
-        raise ValueError(f"unknown operator {op!r}")
+        fn = _INTERVAL_BINOPS.get(op)
+        if fn is None:
+            raise ValueError(f"unknown operator {op!r}")
+        return fn(self.iv, a, b)
 
-    def _logic(self, op: str, a, b):
-        if a is None or b is None:
-            return None
-        at, af = self.iv.truthiness(a)
-        bt, bf = self.iv.truthiness(b)
-        if op == "&&":
-            may_true = at and bt
-            may_false = af or bf
-        else:
-            may_true = at or bt
-            may_false = af and bf
-        if may_true and may_false:
-            return self.iv.BOTH
-        if may_true:
-            return self.iv.TRUE
-        if may_false:
-            return self.iv.FALSE
-        return None
+    def binop_fn(self, op: str):
+        fn = _INTERVAL_BINOPS.get(op)
+        return MethodType(fn, self.iv) if fn else super().binop_fn(op)
 
     def unop(self, op: str, a):
-        if op == "-":
-            return self.iv.neg(a)
-        if op == "!":
-            return self.iv.logical_not(a)
-        raise ValueError(f"unknown unary operator {op!r}")
+        fn = _INTERVAL_UNOPS.get(op)
+        if fn is None:
+            raise ValueError(f"unknown unary operator {op!r}")
+        return fn(self.iv, a)
+
+    def unop_fn(self, op: str):
+        fn = _INTERVAL_UNOPS.get(op)
+        return MethodType(fn, self.iv) if fn else super().unop_fn(op)
 
     def truthiness(self, a):
         return self.iv.truthiness(a)
 
     def _refine_true_cmp(self, op: str, a, b):
-        iv = self.iv
-        if op == "<":
-            return iv.refine_lt(a, b)
-        if op == "<=":
-            return iv.refine_le(a, b)
-        if op == ">":
-            b2, a2 = iv.refine_lt(b, a)
-            return (a2, b2)
-        if op == ">=":
-            b2, a2 = iv.refine_le(b, a)
-            return (a2, b2)
-        if op == "==":
-            return iv.refine_eq(a, b)
-        if op == "!=":
-            return iv.refine_ne(a, b)
-        raise ValueError(f"unknown comparison {op!r}")
+        fn = _INTERVAL_REFINERS.get(op)
+        if fn is None:
+            raise ValueError(f"unknown comparison {op!r}")
+        return fn(self.iv, a, b)
+
+    def refine_fn(self, op: str, assume: bool):
+        fn = _INTERVAL_REFINERS.get(op if assume else _NEGATE.get(op))
+        return MethodType(fn, self.iv) if fn else super().refine_fn(op, assume)
 
     def contains(self, a, n: int) -> bool:
         return a is not None and a.contains(n)

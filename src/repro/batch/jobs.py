@@ -278,6 +278,10 @@ class JobResult:
         return cls(**data)
 
 
+#: ``json.dumps(obj, sort_keys=True)``, with the encoder built once.
+_SORT_KEY = json.JSONEncoder(sort_keys=True).encode
+
+
 def solution_fingerprint(sigma: dict, lattice) -> str:
     """SHA-256 over a canonical JSON encoding of a post solution.
 
@@ -291,7 +295,7 @@ def solution_fingerprint(sigma: dict, lattice) -> str:
     vc = value_codec(lattice)
     pairs = sorted(
         ([uc.encode(x), vc.encode(v)] for x, v in sigma.items()),
-        key=lambda pair: json.dumps(pair[0], sort_keys=True),
+        key=lambda pair: _SORT_KEY(pair[0]),
     )
     blob = json.dumps(pairs, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

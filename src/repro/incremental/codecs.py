@@ -38,12 +38,14 @@ class CodecError(Exception):
 
 _NEG = "-oo"
 _POS = "+oo"
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
 
 
 def _encode_bound(b) -> Any:
-    if b == float("-inf"):
+    if b == _NEG_INF:
         return _NEG
-    if b == float("inf"):
+    if b == _POS_INF:
         return _POS
     return int(b)
 
@@ -162,12 +164,25 @@ def _congruence_codec(_lat) -> ValueCodec:
 
 
 def _map_codec(lat) -> ValueCodec:
+    from repro.lattices.envlat import ArrayEnv
     from repro.lattices.maplat import FrozenMap
 
     inner = value_codec(lat.value_lattice)
+    encode = inner.encode
+    schema = getattr(lat, "schema", None)
+    if schema is not None:
+        # The lattice's own elements are encoded through their slots, in
+        # the key order every other mapping is sorted into per value.
+        order = sorted(
+            ((str(k), i) for i, k in enumerate(schema.keys)),
+            key=lambda pair: pair[0],
+        )
 
     def enc(v):
-        return {str(k): inner.encode(v[k]) for k in sorted(v, key=str)}
+        if schema is not None and type(v) is ArrayEnv and v.schema is schema:
+            values = v.values_tuple
+            return {name: encode(values[i]) for name, i in order}
+        return {str(k): encode(v[k]) for k in sorted(v, key=str)}
 
     def dec(j):
         return FrozenMap({k: inner.decode(x) for k, x in j.items()})

@@ -308,12 +308,15 @@ def warm_solve_slr_side(
     eng.aux.update(
         contribs=contribs, contributors=contributors, accumulated=accumulated
     )
-    queue = eng.make_queue(lambda x: keys[x])
+    queue = eng.make_queue(keys.__getitem__)
 
     dirty_known = {x for x in dirty if x in dom}
     for pair in [p for p in contribs if p[0] in dirty_known]:
         del contribs[pair]
         contributors.get(pair[1], set()).discard(pair[0])
+    heap = queue.heap
+    #: Per-unknown ``(eval, effected, thunk)``, as in SLR+.
+    callbacks: dict = {}
 
     def init(y) -> None:
         eng.init_unknown(y)
@@ -327,9 +330,9 @@ def warm_solve_slr_side(
         if x in stable:
             return
         stable.add(x)
-        side = make_side(x)
-        rhs = system.rhs(x)
-        own = eng.eval_rhs(x, make_eval(x), lambda get: rhs(get, side))
+        get, effected, thunk = callbacks.get(x) or callbacks_of(x)
+        effected.clear()
+        own = eng.eval_rhs(x, get, thunk)
         total = own
         if track_contributions:
             for z in contributors.get(x, ()):
@@ -338,11 +341,19 @@ def warm_solve_slr_side(
             total = lat.join(total, sigma[x])
         if eng.commit(x, op(x, sigma[x], total)):
             eng.destabilize(x, queue)
-        while queue and queue.min_key() <= keys[x]:
+        key = keys[x]
+        while heap and heap[0][0] <= key:
             solve(queue.extract_min())
 
-    def make_eval(x):
-        return eng.fresh_solving_eval(x, solve)
+    def callbacks_of(x) -> tuple:
+        rhs = system.rhs(x)
+        side, effected = make_side(x)
+        entry = callbacks[x] = (
+            eng.fresh_solving_eval(x, solve),
+            effected,
+            lambda get: rhs(get, side),
+        )
+        return entry
 
     def _side_accumulate(x, y, d) -> None:
         fresh = y not in dom
@@ -387,7 +398,7 @@ def warm_solve_slr_side(
                 if changed:
                     destabilize_and_queue(y)
 
-        return side
+        return side, effected
 
     seeds = _seeds(state, dirty, closure, state.contribs)
     stable.difference_update(seeds)
@@ -477,12 +488,15 @@ def warm_solve_slr_restart(
         accumulated=accumulated,
         wpoints=wpoints,
     )
-    queue = eng.make_queue(lambda x: keys[x])
+    queue = eng.make_queue(keys.__getitem__)
 
     dirty_known = {x for x in dirty if x in dom}
     for pair in [p for p in contribs if p[0] in dirty_known]:
         del contribs[pair]
         contributors.get(pair[1], set()).discard(pair[0])
+    heap = queue.heap
+    #: Per-unknown ``(eval, effected, thunk)``, as in SLR2/SLR3.
+    callbacks: dict = {}
 
     def init(y) -> None:
         eng.init_unknown(y)
@@ -496,11 +510,11 @@ def warm_solve_slr_restart(
         if x in stable:
             return
         stable.add(x)
-        side = make_side(x)
-        rhs = system.rhs(x)
+        get, effected, thunk = callbacks.get(x) or callbacks_of(x)
+        effected.clear()
         evaluating.add(x)
         try:
-            own = eng.eval_rhs(x, make_eval(x), lambda get: rhs(get, side))
+            own = eng.eval_rhs(x, get, thunk)
         finally:
             evaluating.discard(x)
         total = own
@@ -524,15 +538,28 @@ def warm_solve_slr_restart(
                 eng.restart_region(x, queue)
             else:
                 eng.destabilize(x, queue)
-        while queue and queue.min_key() <= keys[x]:
+        key = keys[x]
+        while heap and heap[0][0] <= key:
             solve(queue.extract_min())
 
+    def callbacks_of(x) -> tuple:
+        rhs = system.rhs(x)
+        side, effected = make_side(x)
+        entry = callbacks[x] = (
+            make_eval(x),
+            effected,
+            lambda get: rhs(get, side),
+        )
+        return entry
+
     def make_eval(x):
+        key = keys[x]
+
         def eval_(y):
             if y not in dom:
                 init(y)
                 solve(y)
-            elif y in evaluating or keys[y] >= keys[x]:
+            elif y in evaluating or keys[y] >= key:
                 # In-flight lookup or access against priority order:
                 # ``y`` heads a cycle (see repro.solvers.slr_restart).
                 wpoints.add(y)
@@ -588,7 +615,7 @@ def warm_solve_slr_restart(
                     wpoints.add(y)
                     destabilize_and_queue(y)
 
-        return side
+        return side, effected
 
     seeds = _seeds(state, dirty, closure, state.contribs)
     stable.difference_update(seeds)

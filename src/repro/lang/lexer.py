@@ -1,15 +1,43 @@
-"""A hand-written lexer for mini-C.
+"""The lexer for mini-C.
 
 Supports ``//`` line comments and ``/* ... */`` block comments, decimal
 integer literals, identifiers/keywords and the punctuation listed in
 :mod:`repro.lang.tokens`.
+
+ASCII sources -- every corpus program -- are lexed with one compiled
+master regex.  Other sources take a character loop: ``str.isdigit`` and
+``str.isalpha`` accept more than ``[0-9A-Za-z]`` there, and the loop
+keeps their historical meaning.  Both produce the same tokens and the
+same :class:`LexError` messages and positions on ASCII text.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
-from repro.lang.tokens import KEYWORDS, PUNCT1, PUNCT2, Token, TokenKind
+from repro.lang.tokens import (
+    KEYWORDS,
+    PUNCT1,
+    PUNCT2,
+    Token,
+    TokenKind,
+    make_token,
+)
+
+#: Skips whitespace and comments, then matches one token: an integer
+#: (group 1), a word (group 2) or punctuation (group 3, two-character
+#: forms first).  Matches no token at the end of the input and at a
+#: character no token starts with; at an unterminated block comment the
+#: token is its ``/``.
+_MASTER = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|("
+    + "|".join(re.escape(p) for p in (*PUNCT2, *PUNCT1))
+    + r"))?",
+    re.DOTALL,
+)
+_WORD_CHAR = re.compile(r"[A-Za-z_]")
 
 
 class LexError(Exception):
@@ -23,6 +51,57 @@ class LexError(Exception):
 
 def tokenize(source: str) -> List[Token]:
     """Tokenise ``source``, appending a terminal EOF token."""
+    if source.isascii():
+        return _tokenize_ascii(source)
+    return _tokenize_chars(source)
+
+
+def _tokenize_ascii(source: str) -> List[Token]:
+    tokens: List[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    count = source.count
+    rfind = source.rfind
+    keyword, ident = TokenKind.KEYWORD, TokenKind.IDENT
+    int_lit, punct = TokenKind.INT_LIT, TokenKind.PUNCT
+    pos = 0
+    line = 1
+    line_start = 0  # index of the current line's first character
+    while True:
+        m = match(source, pos)
+        group = m.lastindex
+        start = m.start(group) if group else m.end()
+        newlines = count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = rfind("\n", pos, start) + 1
+        col = start - line_start + 1
+        if group is None:
+            if start == len(source):
+                append(make_token(TokenKind.EOF, "", line, col))
+                return tokens
+            raise LexError(f"unexpected character {source[start]!r}", line, col)
+        pos = m.end()
+        text = m.group(group)
+        if group == 1:
+            if _WORD_CHAR.match(source, pos):
+                raise LexError(
+                    f"malformed number {source[start:pos + 1]!r}",
+                    line,
+                    col + pos - start,
+                )
+            append(make_token(int_lit, text, line, col))
+        elif group == 2:
+            kind = keyword if text in KEYWORDS else ident
+            append(make_token(kind, text, line, col))
+        elif text == "/" and source.startswith("*", pos):
+            # ``/*`` the skip could not close.
+            raise LexError("unterminated block comment", line, col)
+        else:
+            append(make_token(punct, text, line, col))
+
+
+def _tokenize_chars(source: str) -> List[Token]:
     tokens: List[Token] = []
     i = 0
     line = 1

@@ -55,7 +55,11 @@ class _Parser:
     # ------------------------------------------------------------- #
 
     def peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        # Past the end, every peek sees the final EOF token.
+        try:
+            return self._tokens[self._pos + ahead]
+        except IndexError:
+            return self._tokens[-1]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -21,6 +21,7 @@ plain value tuple, so
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Hashable, Iterable, Mapping
 
 from repro.lattices.base import Lattice, LatticeError
@@ -55,9 +56,9 @@ class ArrayEnv(FrozenMap):
     __slots__ = ("_schema", "_values")
 
     def __init__(self, schema: EnvSchema, values: Iterable) -> None:
-        object.__setattr__(self, "_schema", schema)
-        object.__setattr__(self, "_values", tuple(values))
-        object.__setattr__(self, "_hash", None)
+        self._schema = schema
+        self._values = tuple(values)
+        self._hash = None
 
     @property
     def _data(self) -> dict:
@@ -155,10 +156,33 @@ class ArrayEnvLattice(MapLattice):
             return a._values
         return tuple(a[k] for k in self._keys)
 
+    def _pointwise(self, op, a, b) -> ArrayEnv:
+        """``op`` slot by slot, as ``a`` or ``b`` itself when every slot
+        of the result is that argument's own slot object.
+
+        Only elements of this lattice are reused, so the result is an
+        :class:`ArrayEnv` of this schema either way.
+        """
+        schema = self._schema
+        own_a = isinstance(a, ArrayEnv) and a._schema is schema
+        own_b = isinstance(b, ArrayEnv) and b._schema is schema
+        va = a._values if own_a else self._vals(a)
+        vb = b._values if own_b else self._vals(b)
+        values = tuple(map(op, va, vb))
+        if own_a and all(map(is_, values, va)):
+            return a
+        if own_b and all(map(is_, values, vb)):
+            return b
+        return ArrayEnv(schema, values)
+
     def leq(self, a, b) -> bool:
         if a is b:
             return True
-        return all(map(self._value.leq, self._vals(a), self._vals(b)))
+        vleq = self._value.leq
+        for x, y in zip(self._vals(a), self._vals(b)):
+            if x is not y and not vleq(x, y):
+                return False
+        return True
 
     def equal(self, a, b) -> bool:
         if a is b:
@@ -170,27 +194,18 @@ class ArrayEnvLattice(MapLattice):
     def join(self, a, b) -> ArrayEnv:
         if a is b:
             return a if isinstance(a, ArrayEnv) else self.make(a)
-        return ArrayEnv(
-            self._schema, map(self._value.join, self._vals(a), self._vals(b))
-        )
+        return self._pointwise(self._value.join, a, b)
 
     def meet(self, a, b) -> ArrayEnv:
         if a is b:
             return a if isinstance(a, ArrayEnv) else self.make(a)
-        return ArrayEnv(
-            self._schema, map(self._value.meet, self._vals(a), self._vals(b))
-        )
+        return self._pointwise(self._value.meet, a, b)
 
     def widen(self, a, b) -> ArrayEnv:
-        return ArrayEnv(
-            self._schema, map(self._value.widen, self._vals(a), self._vals(b))
-        )
+        return self._pointwise(self._value.widen, a, b)
 
     def narrow(self, a, b) -> ArrayEnv:
-        return ArrayEnv(
-            self._schema,
-            map(self._value.narrow, self._vals(a), self._vals(b)),
-        )
+        return self._pointwise(self._value.narrow, a, b)
 
     def validate(self, a) -> None:
         if not isinstance(a, Mapping):

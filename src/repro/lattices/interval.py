@@ -134,19 +134,28 @@ class IntervalLattice(Lattice[IntervalValue]):
             return False
         return b.lo <= a.lo and a.hi <= b.hi
 
+    # The binary operations pick each bound from one argument, exactly as
+    # ``min``/``max`` would, and return an argument itself when both
+    # picked bounds are that argument's own bound objects (see
+    # :func:`_reuse`): no new ``Interval`` for a result equal to an input.
+
     def join(self, a: IntervalValue, b: IntervalValue) -> IntervalValue:
         if a is None:
             return b
         if b is None:
             return a
-        return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+        alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+        return _reuse(
+            blo if blo < alo else alo, bhi if bhi > ahi else ahi, a, b
+        )
 
     def meet(self, a: IntervalValue, b: IntervalValue) -> IntervalValue:
         if a is None or b is None:
             return None
-        lo = max(a.lo, b.lo)
-        hi = min(a.hi, b.hi)
-        return Interval(lo, hi) if lo <= hi else None
+        alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+        lo = blo if blo > alo else alo
+        hi = bhi if bhi < ahi else ahi
+        return _reuse(lo, hi, a, b) if lo <= hi else None
 
     # ----------------------------------------------------------------- #
     # Widening and narrowing.                                           #
@@ -159,7 +168,7 @@ class IntervalLattice(Lattice[IntervalValue]):
             return a
         lo = a.lo if a.lo <= b.lo else self._widen_lower(b.lo)
         hi = a.hi if b.hi <= a.hi else self._widen_upper(b.hi)
-        return Interval(lo, hi)
+        return _reuse(lo, hi, a, b)
 
     def narrow(self, a: IntervalValue, b: IntervalValue) -> IntervalValue:
         if a is None or b is None:
@@ -168,7 +177,7 @@ class IntervalLattice(Lattice[IntervalValue]):
         # are kept, which guarantees stabilisation of descending chains.
         lo = b.lo if a.lo == NEG_INF else a.lo
         hi = b.hi if a.hi == POS_INF else a.hi
-        return Interval(lo, hi) if lo <= hi else None
+        return _reuse(lo, hi, a, b) if lo <= hi else None
 
     def _widen_lower(self, lo: float) -> float:
         for t in self._lower_thresholds:
@@ -375,6 +384,20 @@ class IntervalLattice(Lattice[IntervalValue]):
         if a.is_singleton():
             new_b = _exclude_point(b, int(a.lo))
         return (new_a, new_b)
+
+
+def _reuse(lo: float, hi: float, a: Interval, b: Interval) -> Interval:
+    """``[lo, hi]``, as ``a`` or ``b`` itself when it holds exactly these
+    bound objects.
+
+    The test is identity, so the result has the same bound types and
+    values as a freshly built ``Interval(lo, hi)``.
+    """
+    if lo is a.lo and hi is a.hi:
+        return a
+    if lo is b.lo and hi is b.hi:
+        return b
+    return Interval(lo, hi)
 
 
 def _exclude_point(a: Interval, n: int) -> IntervalValue:

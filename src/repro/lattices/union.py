@@ -90,7 +90,7 @@ class TaggedUnionLattice(Lattice[Tuple[Hashable, Any]]):
             return UNION_TOP
         if a[0] != b[0]:
             return UNION_TOP
-        return (a[0], self.branch(a[0]).join(a[1], b[1]))
+        return _rewrap(self.branch(a[0]).join(a[1], b[1]), a, b)
 
     def meet(self, a: tuple, b: tuple) -> tuple:
         if a == UNION_TOP:
@@ -101,7 +101,7 @@ class TaggedUnionLattice(Lattice[Tuple[Hashable, Any]]):
             return UNION_BOT
         if a[0] != b[0]:
             return UNION_BOT
-        return (a[0], self.branch(a[0]).meet(a[1], b[1]))
+        return _rewrap(self.branch(a[0]).meet(a[1], b[1]), a, b)
 
     def widen(self, a: tuple, b: tuple) -> tuple:
         if a == UNION_BOT:
@@ -112,7 +112,7 @@ class TaggedUnionLattice(Lattice[Tuple[Hashable, Any]]):
             return UNION_TOP
         if a[0] != b[0]:
             return UNION_TOP
-        return (a[0], self.branch(a[0]).widen(a[1], b[1]))
+        return _rewrap(self.branch(a[0]).widen(a[1], b[1]), a, b)
 
     def narrow(self, a: tuple, b: tuple) -> tuple:
         if a == UNION_TOP:
@@ -121,9 +121,11 @@ class TaggedUnionLattice(Lattice[Tuple[Hashable, Any]]):
             return b
         if a[0] != b[0]:
             return b
-        return (a[0], self.branch(a[0]).narrow(a[1], b[1]))
+        return _rewrap(self.branch(a[0]).narrow(a[1], b[1]), a, b)
 
     def equal(self, a: tuple, b: tuple) -> bool:
+        if a is b:
+            return True
         if a in (UNION_BOT, UNION_TOP) or b in (UNION_BOT, UNION_TOP):
             return a == b
         if a[0] != b[0]:
@@ -143,3 +145,13 @@ class TaggedUnionLattice(Lattice[Tuple[Hashable, Any]]):
         if a == UNION_TOP:
             return "T"
         return f"{a[0]}:{self.branch(a[0]).format(a[1])}"
+
+
+def _rewrap(payload: Any, a: tuple, b: tuple) -> tuple:
+    """``payload`` under the tag of ``a`` and ``b``, reusing the wrapper
+    of whichever argument carries this very payload object."""
+    if payload is a[1]:
+        return a
+    if payload is b[1]:
+        return b
+    return (a[0], payload)

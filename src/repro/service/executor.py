@@ -201,6 +201,7 @@ def _result(
         widen_updates=stats.widen_updates,
         narrow_updates=stats.narrow_updates,
         direction_switches=stats.direction_switches,
+        restarts=stats.restarts,
         wall_time=time.perf_counter() - started,
         peak_rss_kb=_peak_rss_kb(),
         **counts,

@@ -27,7 +27,8 @@ its exact paper semantics:
 Instrumentation is pluggable: pass :class:`SolverObserver` instances via
 ``observers`` and they receive every event next to the always-installed
 :class:`StatsObserver` (which is what keeps the classic ``SolverStats``
-counters flowing).
+counters flowing).  Without extra observers the engine updates those
+counters itself on the per-evaluation path, with the same counts.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ class SolverEngine:
         # The stats observer must run first so the budget check below
         # always sees an up-to-date evaluation count.
         self.bus = EventBus([stats_observer, *observers])
+        #: Whether any observer besides the stats one listens.  If not,
+        #: the engine updates the counters itself instead of emitting
+        #: events nobody else receives; the counts are the same.
+        self._observed = len(self.bus.observers) > 1
         self.max_evals = max_evals
         self.memo: Optional[MemoCache] = MemoCache() if memoize else None
         if self.op is not None:
@@ -151,7 +156,10 @@ class SolverEngine:
 
     def charge(self, x: Hashable) -> None:
         """Count one evaluation of ``x``; raise on budget exhaustion."""
-        self.bus.emit_eval(x)
+        if self._observed:
+            self.bus.emit_eval(x)
+        else:
+            self.stats.count_eval(x)
         if self.max_evals is not None and self.stats.evaluations > self.max_evals:
             raise DivergenceError(
                 f"exceeded {self.max_evals} right-hand-side evaluations "
@@ -237,7 +245,10 @@ class SolverEngine:
         if previous is not None and previous is not shrank:
             stats.direction_switches += 1
         self._direction[x] = shrank
-        self.bus.emit_update(x, old, new)
+        if self._observed:
+            self.bus.emit_update(x, old, new)
+        else:
+            stats.count_update()
         return True
 
     def destabilize(self, x: Hashable, queue) -> None:
@@ -252,7 +263,8 @@ class SolverEngine:
             queue.add(y)
         self.infl[x] = {x}
         self.stable.difference_update(work)
-        self.bus.emit_destabilize(x, work)
+        if self._observed:
+            self.bus.emit_destabilize(x, work)
 
     def destabilize_ordered(self, x: Hashable) -> list:
         """RLD-style destabilisation: reset ordered ``infl[x]``.
@@ -363,7 +375,9 @@ class SolverEngine:
 
     def make_queue(self, key_of) -> ObservedWorklist:
         """A priority worklist whose growth is reported as ``on_queue``."""
-        return ObservedWorklist(key_of, self.bus)
+        return ObservedWorklist(
+            key_of, self.bus, None if self._observed else self.stats
+        )
 
     def observe_queue(self, size: int) -> None:
         """Report the size of a solver-managed (non-priority) worklist."""

@@ -33,6 +33,17 @@ class PriorityWorklist:
     def __bool__(self) -> bool:
         return bool(self._present)
 
+    @property
+    def heap(self) -> list:
+        """The underlying heap of ``(key, seq, x)`` entries, for reading.
+
+        Every entry belongs to an enqueued unknown and every enqueued
+        unknown has exactly one entry, so ``heap[0][0]`` is the least
+        enqueued key whenever ``heap`` is non-empty -- the test a solver
+        loop can make without a method call.
+        """
+        return self._heap
+
     def add(self, x) -> None:
         """Insert ``x`` unless it is already enqueued."""
         if x not in self._present:
@@ -58,15 +69,26 @@ class PriorityWorklist:
 
 
 class ObservedWorklist(PriorityWorklist):
-    """A :class:`PriorityWorklist` that reports growth on the event bus."""
+    """A :class:`PriorityWorklist` that reports growth on the event bus.
 
-    def __init__(self, key_of, bus) -> None:
+    Given ``stats`` (the engine does so when no observer besides the
+    stats one listens), growth updates ``stats.max_queue`` directly
+    instead.
+    """
+
+    def __init__(self, key_of, bus, stats=None) -> None:
         super().__init__(key_of)
         self._bus = bus
+        self._stats = stats
 
     def add(self, x) -> None:
-        before = len(self._present)
-        super().add(x)
-        size = len(self._present)
-        if size != before:
-            self._bus.emit_queue(size)
+        present = self._present
+        if x in present:
+            return
+        present.add(x)
+        heap = self._heap
+        heapq.heappush(heap, (self._key_of(x), len(heap), x))
+        if self._stats is not None:
+            self._stats.observe_queue(len(present))
+        else:
+            self._bus.emit_queue(len(present))

@@ -107,7 +107,11 @@ def _solve_localized(
         accumulated=accumulated,
         wpoints=wpoints,
     )
-    queue = eng.make_queue(lambda x: keys[x])
+    queue = eng.make_queue(keys.__getitem__)
+    heap = queue.heap
+    #: Per-unknown ``(eval, effected, thunk)``, built on its first
+    #: evaluation and reused by every later one (see ``callbacks_of``).
+    callbacks: dict = {}
 
     def init(y) -> None:
         eng.init_unknown(y)
@@ -121,11 +125,11 @@ def _solve_localized(
         if x in stable:
             return
         stable.add(x)
-        side = make_side(x)
-        rhs = system.rhs(x)
+        get, effected, thunk = callbacks.get(x) or callbacks_of(x)
+        effected.clear()
         evaluating.add(x)
         try:
-            own = eng.eval_rhs(x, make_eval(x), lambda get: rhs(get, side))
+            own = eng.eval_rhs(x, get, thunk)
         finally:
             evaluating.discard(x)
         total = own
@@ -153,15 +157,35 @@ def _solve_localized(
                 eng.restart_region(x, queue)
             else:
                 eng.destabilize(x, queue)
-        while queue and queue.min_key() <= keys[x]:
+        key = keys[x]
+        while heap and heap[0][0] <= key:
             solve(queue.extract_min())
 
+    def callbacks_of(x) -> tuple:
+        """Build ``x``'s lookup and side-effect callbacks for this run.
+
+        ``effected`` holds the targets of the current evaluation; the
+        solver clears it before each one.  ``x`` is never re-solved while
+        its own right-hand side runs (nested solves only reach younger
+        unknowns), so one set per unknown suffices.
+        """
+        rhs = system.rhs(x)
+        side, effected = make_side(x)
+        entry = callbacks[x] = (
+            make_eval(x),
+            effected,
+            lambda get: rhs(get, side),
+        )
+        return entry
+
     def make_eval(x):
+        key = keys[x]
+
         def eval_(y):
             if y not in dom:
                 init(y)
                 solve(y)
-            elif y in evaluating or keys[y] >= keys[x]:
+            elif y in evaluating or keys[y] >= key:
                 # ``y`` heads a dependency cycle: either its own
                 # evaluation (transitively) looked itself up, or the
                 # access runs against the priority order (``y`` was
@@ -231,7 +255,7 @@ def _solve_localized(
                     wpoints.add(y)
                     destabilize_and_queue(y)
 
-        return side
+        return side, effected
 
     def run() -> None:
         init(x0)

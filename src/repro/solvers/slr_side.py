@@ -110,7 +110,11 @@ def solve_slr_side(
     eng.aux.update(
         contribs=contribs, contributors=contributors, accumulated=accumulated
     )
-    queue = eng.make_queue(lambda x: keys[x])
+    queue = eng.make_queue(keys.__getitem__)
+    heap = queue.heap
+    #: Per-unknown ``(eval, effected, thunk)``, built on its first
+    #: evaluation and reused by every later one (see ``callbacks_of``).
+    callbacks: dict = {}
 
     def init(y) -> None:
         eng.init_unknown(y)
@@ -124,9 +128,9 @@ def solve_slr_side(
         if x in stable:
             return
         stable.add(x)
-        side = make_side(x)
-        rhs = system.rhs(x)
-        own = eng.eval_rhs(x, make_eval(x), lambda get: rhs(get, side))
+        get, effected, thunk = callbacks.get(x) or callbacks_of(x)
+        effected.clear()
+        own = eng.eval_rhs(x, get, thunk)
         # Join the return value with all recorded side contributions to x.
         total = own
         if track_contributions:
@@ -138,11 +142,26 @@ def solve_slr_side(
             total = lat.join(total, sigma[x])
         if eng.commit(x, op(x, sigma[x], total)):
             eng.destabilize(x, queue)
-        while queue and queue.min_key() <= keys[x]:
+        key = keys[x]
+        while heap and heap[0][0] <= key:
             solve(queue.extract_min())
 
-    def make_eval(x):
-        return eng.fresh_solving_eval(x, solve)
+    def callbacks_of(x) -> tuple:
+        """Build ``x``'s lookup and side-effect callbacks for this run.
+
+        ``effected`` holds the targets of the current evaluation; the
+        solver clears it before each one.  ``x`` is never re-solved while
+        its own right-hand side runs (nested solves only reach younger
+        unknowns), so one set per unknown suffices.
+        """
+        rhs = system.rhs(x)
+        side, effected = make_side(x)
+        entry = callbacks[x] = (
+            eng.fresh_solving_eval(x, solve),
+            effected,
+            lambda get: rhs(get, side),
+        )
+        return entry
 
     def _side_accumulate(x, y, d) -> None:
         """Classical side-effect handling: fold ``d`` into the target."""
@@ -190,7 +209,7 @@ def solve_slr_side(
                 if changed:
                     destabilize_and_queue(y)
 
-        return side
+        return side, effected
 
     def run() -> None:
         init(x0)

@@ -171,3 +171,23 @@ class TestShouldWarm:
         diff = diff_cfg(old, new)
         assert should_warm(diff, new, max_dirty_ratio=0.5)
         assert not should_warm(diff, new, max_dirty_ratio=0.0)
+
+
+class TestBatchAgreement:
+    def test_service_results_equal_batch_results_on_the_quick_corpus(self):
+        from repro.batch.corpus import corpus_jobs
+        from repro.batch.jobs import execute_job
+
+        jobs = corpus_jobs(quick=True)
+        assert len(jobs) == 57
+        differing = {}
+        for spec in jobs:
+            service = execute_service_job(spec).result.deterministic()
+            batch = execute_job(spec).deterministic()
+            if service != batch:
+                differing[spec.id] = {
+                    key: (service[key], batch[key])
+                    for key in batch
+                    if service[key] != batch[key]
+                }
+        assert differing == {}

@@ -230,3 +230,43 @@ class TestDirectionCounters:
         stats = result.stats
         assert stats.widen_updates + stats.narrow_updates == stats.updates
         assert stats.widen_updates > stats.narrow_updates
+
+
+class TestDirectStats:
+    """Without extra observers the engine counts without the bus; the
+    counters must match a run whose every event goes through the bus."""
+
+    PROGRAM = """
+int g = 0;
+int inc(int x) { return x + 1; }
+int main() {
+  int i; i = 0;
+  while (i < 10) { i = inc(i); g = i; }
+  return i;
+}
+"""
+
+    def stats_of(self, solver, observers):
+        from repro.analysis.inter import InterAnalysis
+        from repro.analysis.values import IntervalDomain
+        from repro.lang import compile_program
+        from repro.solvers.registry import get_solver
+
+        analysis = InterAnalysis(compile_program(self.PROGRAM), IntervalDomain())
+        result = get_solver(solver)(
+            analysis.system(),
+            WarrowCombine(analysis.lattice),
+            analysis.root(),
+            observers=observers,
+        )
+        return result.stats
+
+    def test_counters_match_the_observed_path(self):
+        for solver in ("slr+", "slr2", "slr3"):
+            recorder = RecordingObserver()
+            direct = self.stats_of(solver, ())
+            observed = self.stats_of(solver, [recorder])
+            assert direct == observed
+            kinds = [event[0] for event in recorder.events]
+            assert kinds.count("eval") == direct.evaluations
+            assert kinds.count("update") == direct.updates

@@ -388,8 +388,22 @@ class TestBench:
     def test_compare_gates_on_doctored_baseline(
         self, tmp_path, capsys, monkeypatch
     ):
+        import itertools
         import json
+        import types
 
+        from repro.batch import jobs as jobs_module
+
+        # The job clock advances a fixed step per reading, so every run
+        # of the corpus records the same total wall time, however loaded
+        # the machine is.  With ``--workers 1`` the bench runs inline and
+        # reads this clock.
+        ticks = itertools.count(start=0.0, step=0.001)
+        monkeypatch.setattr(
+            jobs_module,
+            "time",
+            types.SimpleNamespace(perf_counter=ticks.__next__),
+        )
         monkeypatch.chdir(tmp_path)
         baseline = tmp_path / "baseline.json"
         args = [
