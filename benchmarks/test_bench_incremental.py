@@ -16,18 +16,14 @@ VIOLATED that the scratch analysis proves.
 
 from __future__ import annotations
 
-import re
 import statistics
 
 from repro.analysis import IntervalDomain
 from repro.analysis.verify import Verdict, check_assertions
+from repro.bench.progen import single_constant_edits
 from repro.bench.wcet import PROGRAMS
 from repro.incremental import analyze_and_snapshot, reanalyze_program
 from repro.lang import compile_program
-
-#: Constant occurrences eligible for a single-statement edit: a numeric
-#: literal compared against (a loop bound) or assigned (an initialiser).
-EDIT_RE = re.compile(r"(?P<ctx>[<>]=? *|= *)(?P<num>\d+)(?P<tail> *[;)])")
 
 #: The benchmarked slice: small/medium programs spanning searching,
 #: sorting, arithmetic and irregular control flow.
@@ -47,22 +43,6 @@ NAMES = [
 EDITS_PER_PROGRAM = 2
 
 
-def single_constant_edits(source: str, limit: int = EDITS_PER_PROGRAM):
-    """The first ``limit`` compilable bump-one-constant variants."""
-    variants = []
-    for m in EDIT_RE.finditer(source):
-        n = int(m.group("num"))
-        edited = source[: m.start("num")] + str(n + 1) + source[m.end("num"):]
-        try:
-            compile_program(edited)
-        except Exception:
-            continue
-        variants.append(edited)
-        if len(variants) >= limit:
-            break
-    return variants
-
-
 def violated(cfg, result):
     return {
         r.instr.line
@@ -78,7 +58,7 @@ def run_edit_suite():
         source = PROGRAMS[name].source
         old_cfg = compile_program(source)
         _, state = analyze_and_snapshot(old_cfg, dom)
-        for i, edited in enumerate(single_constant_edits(source)):
+        for i, edited in enumerate(single_constant_edits(source, EDITS_PER_PROGRAM)):
             new_cfg = compile_program(edited)
             report = reanalyze_program(
                 old_cfg, new_cfg, state, dom, compare_scratch=True

@@ -8,6 +8,9 @@ Two consumers:
   for the SpecCPU2006 programs (see DESIGN.md for the substitution
   rationale).
 
+:func:`single_constant_edits` derives the small edits that warm-start
+benchmarks and tests replay, from generated or hand-written programs.
+
 Generated programs are *safe and terminating by construction*: loops are
 counting loops with literal bounds, divisors are non-zero literals, array
 indices are reduced modulo the array size (with non-negative adjustment),
@@ -17,6 +20,7 @@ and the call graph is acyclic except for controlled bounded recursion.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -234,3 +238,30 @@ def generate_program(config: ProgramConfig) -> str:
         )
     parts.append(main_src)
     return "\n\n".join(parts) + "\n"
+
+
+#: A numeric literal compared against (a loop bound) or assigned (an
+#: initialiser): the constant a single-constant edit bumps by one.
+EDIT_RE = re.compile(r"(?P<ctx>[<>]=? *|= *)(?P<num>\d+)(?P<tail> *[;)])")
+
+
+def single_constant_edits(source: str, limit: int = 2) -> List[str]:
+    """The first ``limit`` compilable variants bumping one constant by one.
+
+    This is the classic maintenance edit (a loop bound or an assigned
+    constant changes) behind the warm-start benchmarks and tests.
+    """
+    from repro.lang import compile_program
+
+    variants = []
+    for m in EDIT_RE.finditer(source):
+        n = int(m.group("num"))
+        edited = source[: m.start("num")] + str(n + 1) + source[m.end("num") :]
+        try:
+            compile_program(edited)
+        except Exception:
+            continue
+        variants.append(edited)
+        if len(variants) >= limit:
+            break
+    return variants

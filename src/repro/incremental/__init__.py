@@ -42,9 +42,6 @@ from repro.incremental.warmstart import (
     influence_closure,
     warm_solve,
     warm_solve_slr,
-    warm_solve_slr2,
-    warm_solve_slr3,
-    warm_solve_slr_restart,
     warm_solve_slr_side,
     warm_solve_sw,
 )
@@ -71,9 +68,6 @@ __all__ = [
     "value_codec",
     "warm_solve",
     "warm_solve_slr",
-    "warm_solve_slr2",
-    "warm_solve_slr3",
-    "warm_solve_slr_restart",
     "warm_solve_slr_side",
     "warm_solve_sw",
 ]
@@ -85,8 +79,8 @@ def _register_warm_starts() -> None:
     register_warm_start("sw", warm_solve_sw)
     register_warm_start("slr", warm_solve_slr)
     register_warm_start("slr+", warm_solve_slr_side)
-    register_warm_start("slr2", warm_solve_slr2)
-    register_warm_start("slr3", warm_solve_slr3)
+    register_warm_start("slr2", warm_solve_slr_side)
+    register_warm_start("slr3", warm_solve_slr_side)
 
 
 _register_warm_starts()

@@ -7,7 +7,8 @@ the mini-C analyses:
    analysis and captures its solver state;
 2. :func:`reanalyze_program` diffs the old and new CFGs
    (:func:`repro.lang.diff.diff_cfg`), transfers the snapshot across the
-   node matching, derives the dirty unknowns, and resumes SLR+ warm;
+   node matching, derives the dirty unknowns, and resumes the snapshot's
+   solver (SLR+, SLR2 or SLR3) warm;
 3. :func:`check_post_solution` / :func:`check_post_solution_pure`
    independently re-verify that a (warm or cold) solution is a partial
    post solution -- ``sigma[x] ⊒ f_x(sigma)`` joined with all recorded
@@ -278,8 +279,9 @@ def reanalyze_program(
 ) -> IncrementalReport:
     """Warm re-analysis of ``new_cfg`` from a snapshot taken on ``old_cfg``.
 
-    The snapshot must come from an SLR+ run with the *same* domain,
-    policy and entry function (e.g. via :func:`analyze_and_snapshot`).
+    The snapshot must come from an SLR+, SLR2 or SLR3 run with the *same*
+    domain, policy and entry function (e.g. via
+    :func:`analyze_and_snapshot`); that solver resumes it.
     The update operator may be given directly (``op``) or as a strategy
     spec string (``op_spec``, resolved against the new program's
     analysis lattice and CFG); the warm re-solve and the optional
@@ -324,7 +326,7 @@ def reanalyze_program(
         diff=diff,
         dirty=dirty,
         transferred=len(transferred.dom),
-        state=capture(solver_result, "slr+"),
+        state=capture(solver_result, state.solver),
         violations=check_post_solution(system, solver_result.sigma),
     )
     if compare_scratch:
@@ -335,7 +337,7 @@ def reanalyze_program(
             entry_fn=entry_fn,
             max_evals=max_evals,
             widen_delay=widen_delay,
-            solver="slr+",
+            solver=state.solver,
             op_spec=op_spec,
         )
         report.scratch = scratch

@@ -1,4 +1,4 @@
-"""Warm-started solving: resume SW/SLR/SLR+ from a restored state.
+"""Warm-started solving: resume SW, SLR, SLR+, SLR2 or SLR3 from a snapshot.
 
 The idea follows directly from the structure of the paper's local solvers
 (Fig. 6, Section 6): at termination every encountered unknown is *stable*
@@ -45,8 +45,9 @@ from repro.incremental.state import SolverState
 from repro.solvers._deepcall import call_with_deep_stack
 from repro.solvers.combine import Combine
 from repro.solvers.engine import SolverEngine
+from repro.solvers.registry import UnknownSolverError, get_solver, get_warm_start
 from repro.solvers.slr import LocalResult
-from repro.solvers.slr_side import SideEffectError, SideResult
+from repro.solvers.slr_side import SideResult, slr_loop
 from repro.solvers.stats import SolverResult
 
 
@@ -266,8 +267,15 @@ def warm_solve_slr(
 
 
 # --------------------------------------------------------------------- #
-# SLR+.                                                                 #
+# SLR+, SLR2 and SLR3.                                                  #
 # --------------------------------------------------------------------- #
+
+def _drop_contributions(contribs, contributors, origins) -> None:
+    """Forget every stored contribution whose origin is in ``origins``."""
+    for pair in [p for p in contribs if p[0] in origins]:
+        del contribs[pair]
+        contributors.get(pair[1], set()).discard(pair[0])
+
 
 def warm_solve_slr_side(
     system,
@@ -282,7 +290,11 @@ def warm_solve_slr_side(
     closure: str = "transitive",
     reset: str = "none",
 ) -> SideResult:
-    """Warm-started SLR+ from a restored snapshot.
+    """Warm-started SLR+, SLR2 or SLR3 from a restored snapshot.
+
+    The snapshot's solver (``state.solver``) is the mode the side-effecting
+    SLR loop (:func:`~repro.solvers.slr_side.slr_loop`) resumes in, so a
+    snapshot always resumes the solver that took it.
 
     Contributions whose origin is dirty are dropped before iteration: the
     origin's new right-hand side re-establishes whatever side effects it
@@ -293,378 +305,39 @@ def warm_solve_slr_side(
     solver applies within a single run.)  Contributions from clean
     origins are restored, so a destabilized target re-joins them without
     re-running their origins.  See :func:`warm_solve_slr` for ``reset``.
+
+    SLR2 and SLR3 resume with the widening points of ``state.wpoints``
+    and still detect new ones during the warm run; SLR3's restart budget
+    does not carry over from the original run.
     """
+    mode = get_solver(state.solver).name
     _check_reset(reset, closure)
     eng = SolverEngine(system, op, max_evals=max_evals, observers=observers)
-    op = eng.op  # the engine's per-run fresh instance
     _restore_engine(eng, state)
-    lat = eng.lattice
-    sigma, keys, dom, stable = eng.sigma, eng.keys, eng.dom, eng.stable
-    contribs: Dict[Tuple[Hashable, Hashable], object] = dict(state.contribs)
-    contributors: Dict[Hashable, Set[Hashable]] = {
-        z: set(s) for z, s in state.contributors.items()
-    }
-    accumulated: set = set(state.accumulated)
-    eng.aux.update(
-        contribs=contribs, contributors=contributors, accumulated=accumulated
-    )
-    queue = eng.make_queue(keys.__getitem__)
-
-    dirty_known = {x for x in dirty if x in dom}
-    for pair in [p for p in contribs if p[0] in dirty_known]:
-        del contribs[pair]
-        contributors.get(pair[1], set()).discard(pair[0])
-    heap = queue.heap
-    #: Per-unknown ``(eval, effected, thunk)``, as in SLR+.
-    callbacks: dict = {}
-
-    def init(y) -> None:
-        eng.init_unknown(y)
-        contributors.setdefault(y, set())
-
-    def destabilize_and_queue(y) -> None:
-        stable.discard(y)
-        queue.add(y)
-
-    def solve(x) -> None:
-        if x in stable:
-            return
-        stable.add(x)
-        get, effected, thunk = callbacks.get(x) or callbacks_of(x)
-        effected.clear()
-        own = eng.eval_rhs(x, get, thunk)
-        total = own
-        if track_contributions:
-            for z in contributors.get(x, ()):
-                total = lat.join(total, contribs[(z, x)])
-        elif x in accumulated:
-            total = lat.join(total, sigma[x])
-        if eng.commit(x, op(x, sigma[x], total)):
-            eng.destabilize(x, queue)
-        key = keys[x]
-        while heap and heap[0][0] <= key:
-            solve(queue.extract_min())
-
-    def callbacks_of(x) -> tuple:
-        rhs = system.rhs(x)
-        side, effected = make_side(x)
-        entry = callbacks[x] = (
-            eng.fresh_solving_eval(x, solve),
-            effected,
-            lambda get: rhs(get, side),
-        )
-        return entry
-
-    def _side_accumulate(x, y, d) -> None:
-        fresh = y not in dom
-        if fresh:
-            init(y)
-        accumulated.add(y)
-        new = op(y, sigma[y], lat.join(sigma[y], d))
-        if eng.commit(y, new):
-            if fresh:
-                solve(y)
-            else:
-                eng.destabilize(y, queue)
-
-    def make_side(x):
-        effected: set = set()
-
-        def side(y, d) -> None:
-            if y == x:
-                raise SideEffectError(
-                    f"right-hand side of {x!r} side-effects itself"
-                )
-            if y in effected:
-                raise SideEffectError(
-                    f"right-hand side of {x!r} side-effects {y!r} twice "
-                    f"in one evaluation"
-                )
-            effected.add(y)
-            if not track_contributions:
-                _side_accumulate(x, y, d)
-                return
-            pair = (x, y)
-            old = contribs.get(pair, lat.bottom)
-            changed = not lat.equal(old, d)
-            if changed:
-                contribs[pair] = d
-            if y not in dom:
-                init(y)
-                contributors[y] = {x}
-                solve(y)
-            else:
-                contributors.setdefault(y, set()).add(x)
-                if changed:
-                    destabilize_and_queue(y)
-
-        return side, effected
-
+    contribs = dict(state.contribs)
+    contributors = {z: set(s) for z, s in state.contributors.items()}
+    _drop_contributions(contribs, contributors, {x for x in dirty if x in eng.dom})
     seeds = _seeds(state, dirty, closure, state.contribs)
-    stable.difference_update(seeds)
+    eng.stable.difference_update(seeds)
     if reset == "destabilized":
         for x in seeds:
-            sigma[x] = system.init(x)
+            eng.sigma[x] = system.init(x)
         # Every seed origin re-runs from its initial value and
         # re-establishes its side effects; its stored contributions are
         # stale by definition and would re-enter reset targets through
         # the join below.  Dropping them is sound because the transitive
         # closure also reset every target they fed.
-        for pair in [p for p in contribs if p[0] in seeds]:
-            del contribs[pair]
-            contributors.get(pair[1], set()).discard(pair[0])
-
-    def run() -> None:
-        if x0 not in dom:
-            init(x0)
-        for x in seeds:
-            queue.add(x)
-        solve(x0)
-        while queue:
-            solve(queue.extract_min())
-
-    call_with_deep_stack(run)
-    eng.finish()
-    return SideResult(
-        sigma=sigma,
-        stats=eng.stats,
-        infl=eng.infl,
-        keys=keys,
+        _drop_contributions(contribs, contributors, seeds)
+    return slr_loop(
+        eng,
+        x0,
+        mode,
+        track_contributions,
         contribs=contribs,
         contributors=contributors,
-        accumulated=accumulated,
-    )
-
-
-# --------------------------------------------------------------------- #
-# SLR2 / SLR3.                                                          #
-# --------------------------------------------------------------------- #
-
-def warm_solve_slr_restart(
-    system,
-    op: Combine,
-    x0: Hashable,
-    state: SolverState,
-    dirty: Iterable[Hashable],
-    max_evals: Optional[int] = None,
-    track_contributions: bool = True,
-    *,
-    observers=(),
-    closure: str = "transitive",
-    reset: str = "none",
-    restart: bool = True,
-):
-    """Warm-started SLR2/SLR3 from a restored snapshot.
-
-    Identical to :func:`warm_solve_slr_side` in its treatment of dirty
-    origins and contributions, except that the localized discipline of
-    the restarting family applies: the combined operator fires only at
-    the widening points restored from ``state.wpoints`` (new points are
-    still detected dynamically during the warm run), and with
-    ``restart=True`` (SLR3) a downward reversal at a point restarts its
-    dependent region afresh -- the restart budget does not carry over
-    from the original run.
-    """
-    from repro.solvers.slr_restart import RestartResult
-
-    _check_reset(reset, closure)
-    eng = SolverEngine(system, op, max_evals=max_evals, observers=observers)
-    op = eng.op  # the engine's per-run fresh instance
-    _restore_engine(eng, state)
-    lat = eng.lattice
-    sigma, keys, dom, stable = eng.sigma, eng.keys, eng.dom, eng.stable
-    infl = eng.infl
-    contribs: Dict[Tuple[Hashable, Hashable], object] = dict(state.contribs)
-    contributors: Dict[Hashable, Set[Hashable]] = {
-        z: set(s) for z, s in state.contributors.items()
-    }
-    accumulated: set = set(state.accumulated)
-    wpoints: Set[Hashable] = set(state.wpoints)
-    restarted: Set[Hashable] = set()
-    evaluating: Set[Hashable] = set()
-    eng.aux.update(
-        contribs=contribs,
-        contributors=contributors,
-        accumulated=accumulated,
-        wpoints=wpoints,
-    )
-    queue = eng.make_queue(keys.__getitem__)
-
-    dirty_known = {x for x in dirty if x in dom}
-    for pair in [p for p in contribs if p[0] in dirty_known]:
-        del contribs[pair]
-        contributors.get(pair[1], set()).discard(pair[0])
-    heap = queue.heap
-    #: Per-unknown ``(eval, effected, thunk)``, as in SLR2/SLR3.
-    callbacks: dict = {}
-
-    def init(y) -> None:
-        eng.init_unknown(y)
-        contributors.setdefault(y, set())
-
-    def destabilize_and_queue(y) -> None:
-        stable.discard(y)
-        queue.add(y)
-
-    def solve(x) -> None:
-        if x in stable:
-            return
-        stable.add(x)
-        get, effected, thunk = callbacks.get(x) or callbacks_of(x)
-        effected.clear()
-        evaluating.add(x)
-        try:
-            own = eng.eval_rhs(x, get, thunk)
-        finally:
-            evaluating.discard(x)
-        total = own
-        if track_contributions:
-            for z in contributors.get(x, ()):
-                total = lat.join(total, contribs[(z, x)])
-        elif x in accumulated:
-            total = lat.join(total, sigma[x])
-        old = sigma[x]
-        new = op(x, old, total) if x in wpoints else total
-        grew_before = eng._direction.get(x) is False
-        if eng.commit(x, new):
-            if (
-                restart
-                and x in wpoints
-                and x not in restarted
-                and grew_before
-                and lat.leq(new, old)
-            ):
-                restarted.add(x)
-                eng.restart_region(x, queue)
-            else:
-                eng.destabilize(x, queue)
-        key = keys[x]
-        while heap and heap[0][0] <= key:
-            solve(queue.extract_min())
-
-    def callbacks_of(x) -> tuple:
-        rhs = system.rhs(x)
-        side, effected = make_side(x)
-        entry = callbacks[x] = (
-            make_eval(x),
-            effected,
-            lambda get: rhs(get, side),
-        )
-        return entry
-
-    def make_eval(x):
-        key = keys[x]
-
-        def eval_(y):
-            if y not in dom:
-                init(y)
-                solve(y)
-            elif y in evaluating or keys[y] >= key:
-                # In-flight lookup or access against priority order:
-                # ``y`` heads a cycle (see repro.solvers.slr_restart).
-                wpoints.add(y)
-            infl[y].add(x)
-            return sigma[y]
-
-        return eval_
-
-    def _side_accumulate(x, y, d) -> None:
-        fresh = y not in dom
-        if fresh:
-            init(y)
-        else:
-            wpoints.add(y)
-        accumulated.add(y)
-        joined = lat.join(sigma[y], d)
-        new = op(y, sigma[y], joined) if y in wpoints else joined
-        if eng.commit(y, new):
-            if fresh:
-                solve(y)
-            else:
-                eng.destabilize(y, queue)
-
-    def make_side(x):
-        effected: set = set()
-
-        def side(y, d) -> None:
-            if y == x:
-                raise SideEffectError(
-                    f"right-hand side of {x!r} side-effects itself"
-                )
-            if y in effected:
-                raise SideEffectError(
-                    f"right-hand side of {x!r} side-effects {y!r} twice "
-                    f"in one evaluation"
-                )
-            effected.add(y)
-            if not track_contributions:
-                _side_accumulate(x, y, d)
-                return
-            pair = (x, y)
-            old = contribs.get(pair, lat.bottom)
-            changed = not lat.equal(old, d)
-            if changed:
-                contribs[pair] = d
-            if y not in dom:
-                init(y)
-                contributors[y] = {x}
-                solve(y)
-            else:
-                contributors.setdefault(y, set()).add(x)
-                if changed:
-                    wpoints.add(y)
-                    destabilize_and_queue(y)
-
-        return side, effected
-
-    seeds = _seeds(state, dirty, closure, state.contribs)
-    stable.difference_update(seeds)
-    if reset == "destabilized":
-        for x in seeds:
-            sigma[x] = system.init(x)
-        # Same soundness argument as warm_solve_slr_side: the transitive
-        # closure reset every target a dropped contribution fed.
-        for pair in [p for p in contribs if p[0] in seeds]:
-            del contribs[pair]
-            contributors.get(pair[1], set()).discard(pair[0])
-
-    def run() -> None:
-        if x0 not in dom:
-            init(x0)
-        for x in seeds:
-            queue.add(x)
-        solve(x0)
-        while queue:
-            solve(queue.extract_min())
-
-    call_with_deep_stack(run)
-    eng.finish()
-    return RestartResult(
-        sigma=sigma,
-        stats=eng.stats,
-        infl=infl,
-        keys=keys,
-        contribs=contribs,
-        contributors=contributors,
-        accumulated=accumulated,
-        wpoints=wpoints,
-        restarted=restarted,
-    )
-
-
-def warm_solve_slr2(system, op, x0, state, dirty, **kwargs):
-    """Warm-started SLR2 (localized, non-restarting); see
-    :func:`warm_solve_slr_restart`."""
-    return warm_solve_slr_restart(
-        system, op, x0, state, dirty, restart=False, **kwargs
-    )
-
-
-def warm_solve_slr3(system, op, x0, state, dirty, **kwargs):
-    """Warm-started SLR3 (localized, restarting); see
-    :func:`warm_solve_slr_restart`."""
-    return warm_solve_slr_restart(
-        system, op, x0, state, dirty, restart=True, **kwargs
+        accumulated=state.accumulated,
+        wpoints=state.wpoints,
+        seeds=seeds,
     )
 
 
@@ -680,16 +353,21 @@ def warm_solve(
     x0: Hashable = None,
     **kwargs,
 ):
-    """Dispatch a warm start on the solver recorded in the snapshot."""
-    name = state.solver
-    if name == "sw":
-        return warm_solve_sw(system, op, state, dirty, **kwargs)
-    if name == "slr":
-        return warm_solve_slr(system, op, x0, state, dirty, **kwargs)
-    if name in ("slr+", "slr-side", "slrside"):
-        return warm_solve_slr_side(system, op, x0, state, dirty, **kwargs)
-    if name in ("slr2", "slr-localized"):
-        return warm_solve_slr2(system, op, x0, state, dirty, **kwargs)
-    if name in ("slr3", "slr-restart"):
-        return warm_solve_slr3(system, op, x0, state, dirty, **kwargs)
-    raise ValueError(f"no warm-start strategy for solver {name!r}")
+    """Dispatch a warm start on the solver recorded in the snapshot.
+
+    The strategy comes from the registry's warm-start table
+    (:func:`~repro.solvers.registry.get_warm_start`); ``x0`` goes to
+    local solvers only.
+
+    :raises ValueError: when the solver is unknown or has no warm start.
+    """
+    try:
+        spec = get_solver(state.solver)
+    except UnknownSolverError as err:
+        raise ValueError(
+            f"no warm-start strategy for solver {state.solver!r}"
+        ) from err
+    warm = get_warm_start(spec.name)
+    if spec.scope == "local":
+        return warm(system, op, x0, state, dirty, **kwargs)
+    return warm(system, op, state, dirty, **kwargs)

@@ -217,8 +217,12 @@ class ServiceClient:
         try:
             if self.socket_path is not None:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                sock.settimeout(self.timeout)
-                sock.connect(self.socket_path)
+                try:
+                    sock.settimeout(self.timeout)
+                    sock.connect(self.socket_path)
+                except OSError:
+                    sock.close()
+                    raise
             else:
                 sock = socket.create_connection(
                     (self.host, self.port), timeout=self.timeout

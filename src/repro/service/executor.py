@@ -13,11 +13,12 @@ stack:
 * the **warm path** takes a donor entry (same analysis options, an
   earlier version of the program), diffs the two CFGs
   (:func:`repro.lang.diff.diff_cfg`), transfers the donor snapshot
-  across the node matching and resumes SLR+ on exactly the destabilized
-  region.  The resumed solution is re-verified independently; a warm
-  result that fails verification -- or a diff too large to be worth it
-  (:func:`should_warm`) -- falls back to the cold path, so warm starting
-  is purely an optimization, never a soundness risk.
+  across the node matching and resumes the requested solver (SLR+, SLR2
+  or SLR3) on exactly the destabilized region.  The resumed solution is
+  re-verified independently; a warm result that fails verification -- or
+  a diff too large to be worth it (:func:`should_warm`) -- falls back to
+  the cold path, so warm starting is purely an optimization, never a
+  soundness risk.
 
 Like :func:`repro.batch.jobs.execute_job`, :func:`execute_service_job`
 **never raises**: every failure class maps onto the CLI exit-code

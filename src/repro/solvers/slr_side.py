@@ -1,4 +1,4 @@
-"""The side-effecting local solver SLR+ (Section 6) -- the paper's flagship.
+"""The side-effecting SLR loop: SLR+ (Section 6), SLR2 and SLR3.
 
 SLR+ extends SLR to systems whose right-hand sides may *contribute* values
 to other unknowns via a ``side`` callback.  Conceptually each side effect of
@@ -13,12 +13,23 @@ Example 8 of the paper.
 Theorem 4: SLR+ returns a partial post solution whenever it terminates, and
 terminates for monotonic systems whenever only finitely many unknowns are
 encountered.
+
+The successor paper's SLR2 and SLR3 (:mod:`repro.solvers.slr_restart`)
+are small increments of SLR+, so :func:`slr_loop` runs all three, cold or
+resumed from a restored engine (:mod:`repro.incremental.warmstart`).  The
+solver's registry name is the loop's mode:
+
+* ``slr+`` -- every unknown is combined through ⌴ and nothing restarts;
+* ``slr2`` -- ⌴ applies only at dynamically detected widening points,
+  plain override everywhere else (localized narrowing);
+* ``slr3`` -- SLR2, plus a widening point's dependent region restarts on
+  that point's first downward reversal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.eqs.side import SideEffectingSystem
 from repro.solvers._deepcall import call_with_deep_stack
@@ -54,6 +65,24 @@ class SideResult(LocalResult):
     #: accumulated side effects.  Their values live only in ``sigma`` and
     #: must be protected across a subsequent narrowing pass.
     accumulated: Set[Hashable] = field(default_factory=set)
+
+
+@dataclass
+class RestartResult(SideResult):
+    """Result of an SLR2/SLR3 run.
+
+    Extends :class:`SideResult` with the dynamically detected widening
+    points (``wpoints``) and, for SLR3, the points whose downward
+    reversal triggered a region restart (``restarted``).
+    ``stats.restarts`` counts the restarts.
+    """
+
+    wpoints: Set[Hashable] = field(default_factory=set)
+    restarted: Set[Hashable] = field(default_factory=set)
+
+
+#: The loop's modes: the registry names of the solvers it runs.
+MODES = ("slr+", "slr2", "slr3")
 
 
 @register_solver(
@@ -99,17 +128,66 @@ def solve_slr_side(
         including all side-effect targets.
     """
     eng = SolverEngine(system, op, max_evals=max_evals, observers=observers)
+    return slr_loop(eng, x0, "slr+", track_contributions, accumulated=protect or ())
+
+
+def slr_loop(
+    eng: SolverEngine,
+    x0: Hashable,
+    mode: str,
+    track_contributions: bool = True,
+    *,
+    contribs: Optional[Dict[Tuple[Hashable, Hashable], object]] = None,
+    contributors: Optional[Dict[Hashable, Set[Hashable]]] = None,
+    accumulated: Iterable[Hashable] = (),
+    wpoints: Iterable[Hashable] = (),
+    seeds: Iterable[Hashable] = (),
+) -> SideResult:
+    """Run SLR+, SLR2 or SLR3 (``mode``, see :data:`MODES`) on ``eng``.
+
+    A cold run passes a fresh engine and nothing else.  A warm start
+    passes an engine restored from a snapshot, the restored
+    ``contribs``/``contributors``/``accumulated`` bookkeeping (the loop
+    updates the two maps in place), the restored widening points, and
+    the destabilized ``seeds``, which are enqueued before ``x0`` is
+    solved; ``x0`` is initialised only when it was not restored.
+
+    :returns: a :class:`SideResult` for ``slr+``, a
+        :class:`RestartResult` for ``slr2`` and ``slr3``.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    localized = mode != "slr+"
+    restart = mode == "slr3"
+    system = eng.system
     op = eng.op  # the engine's per-run fresh instance
     lat = eng.lattice
     sigma, keys, dom, stable = eng.sigma, eng.keys, eng.dom, eng.stable
-    contribs: Dict[Tuple[Hashable, Hashable], object] = {}
-    contributors: Dict[Hashable, Set[Hashable]] = {}
-    accumulated: set = set(protect) if protect else set()
+    infl = eng.infl
+    if contribs is None:
+        contribs = {}
+    if contributors is None:
+        contributors = {}
+    accumulated = set(accumulated)
+    #: SLR2/SLR3: the dynamically detected widening points -- the only
+    #: unknowns combined through ``op``; everything else is plain override.
+    wpoints = set(wpoints)
+    #: SLR3: widening points already restarted this run (once each).
+    restarted: Set[Hashable] = set()
+    #: SLR2/SLR3: unknowns whose right-hand side is being evaluated right
+    #: now; a lookup that hits this set closes a cycle at the looked-up
+    #: unknown.  A set, not the engine's in-flight *list*, so the
+    #: membership test on the lookup hot path is O(1).
+    evaluating: Set[Hashable] = set()
     # Expose the side-effect bookkeeping for mid-run snapshots
-    # (repro.incremental.state.capture_engine reads these).
+    # (repro.incremental.state.capture_engine reads these) and for the
+    # engine's restart primitive (which drops stale contributions).  SLR+
+    # registers no widening points, so its snapshots carry none.
     eng.aux.update(
         contribs=contribs, contributors=contributors, accumulated=accumulated
     )
+    if localized:
+        eng.aux["wpoints"] = wpoints
     queue = eng.make_queue(keys.__getitem__)
     heap = queue.heap
     #: Per-unknown ``(eval, effected, thunk)``, built on its first
@@ -130,9 +208,15 @@ def solve_slr_side(
         stable.add(x)
         get, effected, thunk = callbacks.get(x) or callbacks_of(x)
         effected.clear()
-        own = eng.eval_rhs(x, get, thunk)
+        if localized:
+            evaluating.add(x)
+            try:
+                total = eng.eval_rhs(x, get, thunk)
+            finally:
+                evaluating.discard(x)
+        else:
+            total = eng.eval_rhs(x, get, thunk)
         # Join the return value with all recorded side contributions to x.
-        total = own
         if track_contributions:
             for z in contributors.get(x, ()):
                 total = lat.join(total, contribs[(z, x)])
@@ -140,8 +224,24 @@ def solve_slr_side(
             # Classical accumulation keeps past side effects in sigma[x]
             # itself, so they must survive the combine with the own value.
             total = lat.join(total, sigma[x])
-        if eng.commit(x, op(x, sigma[x], total)):
-            eng.destabilize(x, queue)
+        old = sigma[x]
+        # The localization: ⌴ at widening points, plain override
+        # elsewhere -- a non-point simply tracks its right-hand side.
+        new = total if localized and x not in wpoints else op(x, old, total)
+        # The direction *before* this commit: a downward reversal is a
+        # shrink whose predecessor move grew (False = grew).
+        grew_before = restart and eng._direction.get(x) is False
+        if eng.commit(x, new):
+            if (
+                grew_before
+                and x in wpoints
+                and x not in restarted
+                and lat.leq(new, old)
+            ):
+                restarted.add(x)
+                eng.restart_region(x, queue)
+            else:
+                eng.destabilize(x, queue)
         key = keys[x]
         while heap and heap[0][0] <= key:
             solve(queue.extract_min())
@@ -157,19 +257,53 @@ def solve_slr_side(
         rhs = system.rhs(x)
         side, effected = make_side(x)
         entry = callbacks[x] = (
-            eng.fresh_solving_eval(x, solve),
+            make_eval(x) if localized else eng.fresh_solving_eval(x, solve),
             effected,
             lambda get: rhs(get, side),
         )
         return entry
+
+    def make_eval(x):
+        """SLR2/SLR3 ``eval x``: SLR+'s lookup plus widening-point detection.
+
+        Unlike the engine's lookup, a fresh unknown goes through ``init``
+        and so gets an (empty) contributor set.
+        """
+        key = keys[x]
+
+        def eval_(y):
+            if y not in dom:
+                init(y)
+                solve(y)
+            elif y in evaluating or keys[y] >= key:
+                # ``y`` heads a dependency cycle: either its own
+                # evaluation (transitively) looked itself up, or the
+                # access runs against the priority order (``y`` was
+                # initialized before ``x``, yet ``x`` reads it).  Keys
+                # strictly decrease along demand edges, so every cycle
+                # contains at least one against-order access -- marking
+                # those is what guarantees each cycle a widening point
+                # even when its closing edge only materializes during a
+                # later re-evaluation (e.g. a call edge whose source
+                # environment was still bottom on the first descent).
+                wpoints.add(y)
+            infl[y].add(x)
+            return sigma[y]
+
+        return eval_
 
     def _side_accumulate(x, y, d) -> None:
         """Classical side-effect handling: fold ``d`` into the target."""
         fresh = y not in dom
         if fresh:
             init(y)
+        elif localized:
+            # An accumulated target only ever grows; without acceleration
+            # a side-effect cycle through it would diverge.
+            wpoints.add(y)
         accumulated.add(y)
-        new = op(y, sigma[y], lat.join(sigma[y], d))
+        joined = lat.join(sigma[y], d)
+        new = joined if localized and y not in wpoints else op(y, sigma[y], joined)
         if eng.commit(y, new):
             if fresh:
                 solve(y)
@@ -207,12 +341,20 @@ def solve_slr_side(
                 # does not touch the contributor map), so default here.
                 contributors.setdefault(y, set()).add(x)
                 if changed:
+                    if localized:
+                        # A changed re-contribution closes a cycle through
+                        # the side effect (the ``infl`` recursion cannot
+                        # see it); accelerate the target from now on.
+                        wpoints.add(y)
                     destabilize_and_queue(y)
 
         return side, effected
 
     def run() -> None:
-        init(x0)
+        if x0 not in dom:
+            init(x0)
+        for x in seeds:
+            queue.add(x)
         solve(x0)
         # Drain any work the final evaluation may have left behind (side
         # effects can enqueue unknowns while the top-level value is stable).
@@ -221,12 +363,15 @@ def solve_slr_side(
 
     call_with_deep_stack(run)
     eng.finish()
-    return SideResult(
+    fields = dict(
         sigma=sigma,
         stats=eng.stats,
-        infl=eng.infl,
+        infl=infl,
         keys=keys,
         contribs=contribs,
         contributors=contributors,
         accumulated=accumulated,
     )
+    if localized:
+        return RestartResult(**fields, wpoints=wpoints, restarted=restarted)
+    return SideResult(**fields)

@@ -5,9 +5,14 @@ the interpreter passes is checked against the interval analysis (joined
 over contexts), including global values.  This is the strongest property
 in the suite -- it transitively exercises the lexer, parser, CFG builder,
 transfer functions, the union lattice, SLR+ and the combined operator.
+The concrete oracle also covers every registered side-effecting local
+solver under every solve-ready combine strategy, cold and warm-started;
+both lists are read from the registries.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -16,11 +21,15 @@ from repro.analysis import (
     InsensitiveContext,
     IntervalDomain,
     analyze_program,
+    collect_thresholds,
 )
 from repro.analysis.inter import analyze_program_twophase, sign_context
-from repro.bench.progen import ProgramConfig, generate_program
+from repro.bench.progen import ProgramConfig, generate_program, single_constant_edits
+from repro.incremental import capture, reanalyze_program
 from repro.lang import compile_program, run_program
 from repro.lattices.lifted import LiftedBottom
+from repro.solvers.registry import all_specs
+from repro.strategies import all_strategies
 
 dom = IntervalDomain()
 
@@ -118,3 +127,53 @@ def test_deeper_programs_are_sound(seed):
     run = run_program(src, record=True, fuel=300_000)
     result = analyze_program(cfg, dom, max_evals=1_000_000)
     assert_covers(result, run)
+
+
+SIDE_SOLVERS = [
+    spec.name
+    for spec in all_specs()
+    if spec.side_effecting and spec.scope == "local" and spec.takes_op
+]
+SOLVE_READY = [
+    info
+    for info in all_strategies()
+    if info.kind == "combine" and info.solve_ready
+]
+
+
+@functools.lru_cache(maxsize=None)
+def concrete_run(src: str):
+    return run_program(src, record=True, fuel=300_000)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("strategy", SOLVE_READY, ids=lambda info: info.name)
+@pytest.mark.parametrize("solver", SIDE_SOLVERS)
+def test_every_side_solver_and_strategy_is_sound(solver, strategy, seed):
+    src, cfg = generated(seed)
+    domain = (
+        IntervalDomain(thresholds=collect_thresholds(cfg))
+        if strategy.needs_thresholds
+        else dom
+    )
+    result = analyze_program(
+        cfg, domain, solver=solver, op_spec=strategy.name, max_evals=500_000
+    )
+    assert_covers(result, concrete_run(src))
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("reset", ["none", "destabilized"])
+@pytest.mark.parametrize("solver", SIDE_SOLVERS)
+def test_warm_starts_are_sound(solver, reset, seed):
+    """Each warm start after a single-constant edit covers the edited run."""
+    src, cfg = generated(seed)
+    cold = analyze_program(cfg, dom, solver=solver, max_evals=500_000)
+    state = capture(cold.solver_result, solver)
+    edits = single_constant_edits(src)
+    assert edits
+    for edited in edits:
+        report = reanalyze_program(
+            cfg, compile_program(edited), state, dom, max_evals=500_000, reset=reset
+        )
+        assert_covers(report.result, concrete_run(edited))

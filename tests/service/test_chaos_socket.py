@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -208,7 +209,7 @@ class TestCrashRecovery:
         while time.monotonic() < deadline:
             if (
                 os.path.exists(journal_path)
-                and '"event":"begin"' in open(journal_path).read()
+                and '"event":"begin"' in Path(journal_path).read_text()
             ):
                 break
             time.sleep(0.002)

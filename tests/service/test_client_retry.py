@@ -7,10 +7,12 @@ retry loop, backoff arithmetic and breaker state machine in isolation).
 
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -111,6 +113,15 @@ class TestTypedErrors:
         assert "is the daemon running" in str(excinfo.value)
         assert "repro serve" in str(excinfo.value)
         assert excinfo.value.retryable
+
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        client = ServiceClient(socket_path=str(tmp_path / "absent.sock"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(DaemonUnavailableError):
+                client.connect()
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
 
     def test_bad_request_is_not_retried(self, tmp_path):
         reply = {"ok": False, "op": "ping", "code": "bad-request", "error": "no"}

@@ -128,18 +128,19 @@ class TestDrainUnderLoad:
 
         def scenario(address):
             path = address[1]
-            solver = threading.Thread(
-                target=lambda: ServiceClient(
-                    socket_path=path, timeout=120.0
-                ).solve(PROGRAM)
-            )
+
+            def solve():
+                with ServiceClient(socket_path=path, timeout=120.0) as client:
+                    client.solve(PROGRAM)
+
+            def shutdown():
+                with ServiceClient(socket_path=path, timeout=120.0) as client:
+                    client.shutdown()
+
+            solver = threading.Thread(target=solve)
             solver.start()
             assert solve_started.wait(timeout=60.0)
-            stopper = threading.Thread(
-                target=lambda: ServiceClient(
-                    socket_path=path, timeout=120.0
-                ).shutdown()
-            )
+            stopper = threading.Thread(target=shutdown)
             stopper.start()
             with ServiceClient(
                 socket_path=path, timeout=60.0, retry=NO_RETRY

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.analysis.inter import InterAnalysis
 from repro.batch.jobs import (
     EXIT_DIVERGENCE,
     EXIT_INPUT,
     EXIT_OK,
     JobSpec,
+    build_domain,
+    build_policy,
+    solution_fingerprint,
     spec_fingerprint,
 )
+from repro.bench.wcet import PROGRAMS
+from repro.incremental import SolverState, transfer_state
 from repro.lang import compile_program
 from repro.lang.diff import diff_cfg
 from repro.service.executor import execute_service_job, should_warm
+from repro.solvers.registry import get_warm_start
+from repro.strategies import BuildContext, build_combine, resolve_spec
 
 PROGRAM = """
 int main() {
@@ -152,6 +162,46 @@ class TestWarmPath:
         )
         assert execution.mode == "warm"
         assert execution.warm_donor == key
+
+
+class TestWarmResumesRequestedSolver:
+    """A warm request resumes the solver it names, not always SLR+."""
+
+    SOURCE = PROGRAMS["fibcall"].source
+    EDITED = SOURCE.replace("int a = 0;", "int a = 1;")
+
+    @pytest.mark.parametrize("solver", ["slr2", "slr3"])
+    def test_warm_reply_is_the_solvers_own_warm_start(self, solver):
+        base = job(source=self.SOURCE, solver=solver)
+        donor = execute_service_job(base)
+        edited = job(source=self.EDITED, solver=solver)
+        warm = execute_service_job(
+            edited, donors=[(spec_fingerprint(base), self.SOURCE, donor.state)]
+        )
+        assert warm.mode == "warm"
+
+        cfg = compile_program(self.EDITED)
+        domain = build_domain("interval")
+        analysis = InterAnalysis(cfg, domain, build_policy("insensitive", domain))
+        op = build_combine(
+            resolve_spec("warrow", widen_delay=1),
+            analysis.lattice,
+            ctx=BuildContext(cfg=cfg),
+        )
+        transferred, dirty = transfer_state(
+            SolverState.loads(donor.state, analysis.lattice),
+            diff_cfg(compile_program(self.SOURCE), cfg),
+            cfg,
+        )
+        own = get_warm_start(solver)(
+            analysis.system(), op, analysis.root(), transferred, dirty
+        )
+        assert warm.result.hash == solution_fingerprint(
+            own.sigma, analysis.lattice
+        )
+        stored = SolverState.loads(warm.state, analysis.lattice)
+        assert transferred.wpoints
+        assert transferred.wpoints <= stored.wpoints
 
 
 class TestShouldWarm:
