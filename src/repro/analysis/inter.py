@@ -616,6 +616,27 @@ def analyze_program_twophase(
     solver="slr+",
     observers=(),
 ) -> AnalysisResult:
+    """The classic baseline on a fresh analysis; see :func:`solve_twophase`."""
+    analysis = InterAnalysis(cfg, domain, policy, entry_fn)
+    result = solve_twophase(
+        analysis,
+        max_evals=max_evals,
+        track_contributions=track_contributions,
+        widen_delay=widen_delay,
+        solver=solver,
+        observers=observers,
+    )
+    return _collect(analysis, result)
+
+
+def solve_twophase(
+    analysis: InterAnalysis,
+    max_evals: Optional[int] = None,
+    track_contributions: bool = False,
+    widen_delay: int = 1,
+    solver="slr+",
+    observers=(),
+) -> SideResult:
     """The classic baseline: a complete widening pass, then a narrowing pass.
 
     Phase 1 solves the side-effecting system with ``op = widen``.  Phase 2
@@ -629,9 +650,11 @@ def analyze_program_twophase(
     per-origin contribution sets.  Pass ``track_contributions=True`` for a
     stronger baseline that separates phases but keeps the new side-effect
     machinery.
+
+    :returns: the narrowing pass's result, its statistics covering both
+        passes.
     """
     solve = resolve_solver(solver, side_effecting=True, scope="local")
-    analysis = InterAnalysis(cfg, domain, policy, entry_fn)
     system = analysis.system()
     root = analysis.root()
     phase1 = solve(
@@ -661,4 +684,4 @@ def analyze_program_twophase(
     # Merge statistics so reported evaluation counts cover both phases.
     phase2.stats.evaluations += phase1.stats.evaluations
     phase2.stats.updates += phase1.stats.updates
-    return _collect(analysis, phase2)
+    return phase2

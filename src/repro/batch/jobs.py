@@ -12,6 +12,16 @@ bus -- depends only on the job spec, never on scheduling: two runs of the
 same corpus produce byte-identical deterministic fields regardless of the
 worker count.  Wall time and peak RSS are measured too, but kept apart
 (:meth:`JobResult.deterministic` excludes them).
+
+A job runs in three stages.  :func:`configure` compiles the source and
+builds the domain, context policy, analysis, solver and operator;
+:func:`solve` runs one operator-taking pass or the phased schedule; and
+:func:`finish` adds verdicts and the fingerprint and builds the result
+(failures go straight to :func:`job_result`).  Every entry point that
+solves a job spec -- batch jobs, service requests, ``repro check``,
+matrix cells and the CLI's analysis commands -- configures it here; the
+service and ``repro solve`` swap :func:`solve` for a supervised or
+warm-started one.
 """
 
 from __future__ import annotations
@@ -331,8 +341,232 @@ def _chaos_policy(job: JobSpec):
     )
 
 
-def _failure(job: JobSpec, status: str, err, started: float) -> JobResult:
-    stats = getattr(err, "stats", None)
+def input_errors() -> Tuple[type, ...]:
+    """The exception classes :func:`configure` raises for bad input.
+
+    Every caller maps them onto exit code ``2``: a program that does not
+    compile; an unknown solver, strategy or rule; and, as ``ValueError``
+    (which ``SpecError`` and ``SolverCapabilityError`` are), an incapable
+    solver, a malformed spec or an unknown domain, context or option.
+    """
+    from repro.checkers import UnknownRuleError
+    from repro.lang import LexError, ParseError, SemanticError
+    from repro.solvers.registry import UnknownSolverError
+    from repro.strategies import UnknownStrategyError
+
+    return (
+        LexError,
+        ParseError,
+        SemanticError,
+        UnknownSolverError,
+        UnknownStrategyError,
+        UnknownRuleError,
+        ValueError,
+    )
+
+
+@dataclass(frozen=True)
+class Setup:
+    """A configured job: the compiled program and everything its solve needs.
+
+    :func:`configure` builds it, :func:`solve` runs it and :func:`finish`
+    turns the solution into a :class:`JobResult`.  Every entry point
+    configures through here, so one job spec always means one equation
+    system, one operator and one solver.
+    """
+
+    job: JobSpec
+    #: The compiled program.
+    cfg: object
+    #: The numeric domain, carrying the program's widening thresholds
+    #: when the job or its strategy asks for them.
+    domain: object
+    #: The context policy.
+    policy: object
+    #: The :class:`~repro.analysis.inter.InterAnalysis` to solve.
+    analysis: object
+    #: The resolved strategy spec (every parameter explicit).
+    strategy: object
+    #: The side-effecting local solver's registry record.
+    solver: object
+    #: The combine operator; ``None`` for a phased strategy, whose
+    #: schedule brings its own operators.  It keeps per-unknown
+    #: counters, so a setup is solved once.
+    op: object = None
+    #: The checker rules of a check job (``None`` otherwise).
+    rules: Optional[tuple] = None
+
+    def single_pass(self, where: str):
+        """The combine operator, for callers that run exactly one pass.
+
+        :raises SpecError: for a phased strategy, naming ``where`` it
+            cannot run.
+        """
+        if self.op is None:
+            from repro.strategies import SpecError
+
+            raise SpecError(
+                f"strategy {self.job.op!r} is phased (two solver passes) and "
+                f"cannot run {where}"
+            )
+        return self.op
+
+
+def configure(job: JobSpec) -> Setup:
+    """Compile and configure ``job``; raises :func:`input_errors` classes.
+
+    Widening thresholds are collected exactly when the job sets
+    ``thresholds`` or its strategy needs them.  A check job needs a
+    combine strategy: a phased one raises
+    :class:`~repro.strategies.SpecError`.
+    """
+    # Imported per call: perfbench/tracing.py wraps collect_thresholds and
+    # build_combine in these modules, build_domain and build_policy here.
+    from repro.analysis import collect_thresholds
+    from repro.analysis.inter import InterAnalysis
+    from repro.lang import compile_program
+    from repro.solvers.registry import get_solver
+    from repro.strategies import (
+        BuildContext,
+        SpecError,
+        build_combine,
+        get_strategy,
+        parse_spec,
+        resolve_spec,
+    )
+
+    if job.kind not in ("solve", "check"):
+        raise ValueError(f"unknown job kind {job.kind!r}")
+    rules = None
+    if job.kind == "check":
+        from repro.checkers import resolve_rules
+
+        rules = resolve_rules(job.rules or None)
+    cfg = compile_program(job.source)
+    strategy = get_strategy(parse_spec(job.op).name)
+    phased = strategy.kind == "phased"
+    if phased and job.kind == "check":
+        raise SpecError(
+            "check requires a solve-ready combine strategy; "
+            f"{strategy.name!r} is phased (try e.g. 'warrow:delay=1' or 'widen')"
+        )
+    resolved = resolve_spec(job.op, widen_delay=job.widen_delay)
+    need_thresholds = job.thresholds or strategy.needs_thresholds
+    thresholds = collect_thresholds(cfg) if need_thresholds else ()
+    domain = build_domain(job.domain, thresholds)
+    policy = build_policy(job.context, domain)
+    analysis = InterAnalysis(cfg, domain, policy)
+    solver = get_solver(job.solver, side_effecting=True, scope="local", takes_op=True)
+    op = None
+    if not phased:
+        op = build_combine(resolved, analysis.lattice, ctx=BuildContext(cfg=cfg))
+    return Setup(job, cfg, domain, policy, analysis, resolved, solver, op, rules)
+
+
+def solve(setup: Setup, *, system=None, observers=()):
+    """Solve a configured job; the solver's raw result.
+
+    A combine strategy is one pass of the operator-taking solver over
+    ``system`` (default: the analysis' own).  A phased strategy runs its
+    widening-then-narrowing schedule on the same analysis
+    (:func:`repro.analysis.inter.solve_twophase`).
+    """
+    job = setup.job
+    if setup.op is None:
+        from repro.analysis.inter import solve_twophase
+
+        return solve_twophase(
+            setup.analysis,
+            max_evals=job.max_evals,
+            track_contributions=(setup.strategy.name == "decoupled"),
+            widen_delay=setup.strategy.get("delay", job.widen_delay),
+            solver=setup.solver,
+            observers=observers,
+        )
+    return setup.solver(
+        setup.analysis.system() if system is None else system,
+        setup.op,
+        setup.analysis.root(),
+        max_evals=job.max_evals,
+        observers=observers,
+    )
+
+
+def finish(setup: Setup, solver_result, started: float) -> JobResult:
+    """The result of a finished solve: verdicts, fingerprint, statistics.
+
+    A check job runs its rules over the solution (status ``findings``
+    when any fire).  A ``verify`` job folds the assertion verdicts in
+    (``unknown``, ``violated``), exactly like ``repro verify``.
+    """
+    from repro.analysis.inter import collect_analysis
+
+    job = setup.job
+    fields = {}
+    if job.kind == "check":
+        from repro.checkers import apply_rules
+
+        analysis_result = collect_analysis(setup.analysis, solver_result)
+        diags = apply_rules(setup.cfg, analysis_result, setup.rules)
+        fields.update(
+            status="findings" if diags else "ok",
+            findings=len(diags),
+            diagnostics=tuple(d.to_json() for d in diags),
+        )
+    elif job.verify:
+        from repro.analysis import check_assertions, summarize
+        from repro.analysis.verify import Verdict
+
+        analysis_result = collect_analysis(setup.analysis, solver_result)
+        counts = summarize(check_assertions(setup.cfg, analysis_result))
+        status = "ok"
+        if counts[Verdict.VIOLATED]:
+            status = "violated"
+        elif counts[Verdict.UNKNOWN]:
+            status = "unknown"
+        fields.update(
+            status=status,
+            proved=counts[Verdict.PROVED],
+            unproved=counts[Verdict.UNKNOWN] + counts[Verdict.VIOLATED],
+        )
+    stats = solver_result.stats
+    return job_result(
+        job,
+        started,
+        hash=solution_fingerprint(solver_result.sigma, setup.analysis.lattice),
+        evaluations=stats.evaluations,
+        updates=stats.updates,
+        unknowns=stats.unknowns,
+        max_queue=stats.max_queue,
+        widen_updates=stats.widen_updates,
+        narrow_updates=stats.narrow_updates,
+        direction_switches=stats.direction_switches,
+        restarts=stats.restarts,
+        **fields,
+    )
+
+
+def job_result(
+    job: JobSpec, started: float, status: str = "ok", *, error=None, **fields
+) -> JobResult:
+    """The one :class:`JobResult` builder.
+
+    Echoes the job's labels and options, codes ``status`` under the
+    exit-code taxonomy and reads the clock against ``started``.  A
+    failure passes its exception as ``error``: the repr is kept, and so
+    are the partial counters a
+    :class:`~repro.solvers.stats.DivergenceError` carries (explicit
+    ``fields`` win).
+    """
+    if error is not None:
+        stats = getattr(error, "stats", None)
+        if stats is not None:
+            fields = {
+                "evaluations": stats.evaluations,
+                "updates": stats.updates,
+                **fields,
+            }
+        fields["error"] = repr(error)
     return JobResult(
         job=job.id,
         family=job.family,
@@ -344,11 +578,9 @@ def _failure(job: JobSpec, status: str, err, started: float) -> JobResult:
         context=job.context,
         op=job.op,
         kind=job.kind,
-        evaluations=stats.evaluations if stats is not None else 0,
-        updates=stats.updates if stats is not None else 0,
         wall_time=time.perf_counter() - started,
         peak_rss_kb=_peak_rss_kb(),
-        error=repr(err),
+        **fields,
     )
 
 
@@ -362,171 +594,31 @@ def execute_job(job: JobSpec) -> JobResult:
     verdicts in (``1`` unknown, ``2`` violated), exactly like the
     ``repro verify`` subcommand.
     """
-    from repro.analysis import check_assertions, collect_thresholds, summarize
-    from repro.analysis.inter import (
-        InterAnalysis,
-        analyze_program_twophase,
-        collect_analysis,
-    )
-    from repro.analysis.verify import Verdict
-    from repro.checkers import UnknownRuleError
-    from repro.lang import LexError, ParseError, SemanticError, compile_program
-    from repro.solvers.registry import (
-        SolverCapabilityError,
-        UnknownSolverError,
-        get_solver,
-    )
     from repro.solvers.stats import DivergenceError
-    from repro.strategies import (
-        BuildContext,
-        UnknownStrategyError,
-        build_combine,
-        get_strategy,
-        parse_spec,
-        resolve_spec,
-    )
     from repro.supervise import ChaosSystem
     from repro.supervise.watchdog import DeadlineWatchdog
 
     started = time.perf_counter()
     try:
-        if job.kind not in ("solve", "check"):
-            raise ValueError(f"unknown job kind {job.kind!r}")
-        check_rules = None
-        if job.kind == "check":
-            from repro.checkers import resolve_rules
-
-            check_rules = resolve_rules(job.rules or None)
-        cfg = compile_program(job.source)
-        strategy = get_strategy(parse_spec(job.op).name)
-        phased = strategy.kind == "phased"
-        if phased and job.kind == "check":
-            raise ValueError(
-                "check jobs require a solve-ready combine strategy; "
-                f"{job.op!r} is phased"
-            )
-        resolved = resolve_spec(job.op, widen_delay=job.widen_delay)
-        need_thresholds = job.thresholds or strategy.needs_thresholds
-        thresholds = collect_thresholds(cfg) if need_thresholds else ()
-        domain = build_domain(job.domain, thresholds)
-        policy = build_policy(job.context, domain)
-        analysis = InterAnalysis(cfg, domain, policy)
-        op = None
-        if phased:
-            spec = get_solver(job.solver, side_effecting=True, scope="local")
-            if job.chaos_rate or job.chaos_fail_at:
+        setup = configure(job)
+        chaos = _chaos_policy(job)
+        system = None
+        if chaos is not None:
+            if setup.op is None:
                 raise ValueError(
                     "chaos injection is not supported for phased strategies"
                 )
-        else:
-            spec = get_solver(
-                job.solver, side_effecting=True, scope="local", takes_op=True
-            )
-            op = build_combine(
-                resolved,
-                analysis.lattice,
-                ctx=BuildContext(cfg=cfg, thresholds=tuple(thresholds)),
-            )
-    except (
-        LexError,
-        ParseError,
-        SemanticError,
-        UnknownSolverError,
-        UnknownStrategyError,
-        UnknownRuleError,
-        SolverCapabilityError,
-        ValueError,
-    ) as err:
-        return _failure(job, "input-error", err, started)
-
-    try:
-        system = analysis.system()
-        chaos = _chaos_policy(job)
-        if chaos is not None:
-            system = ChaosSystem(system, chaos)
+            system = ChaosSystem(setup.analysis.system(), chaos)
         observers = []
         if job.deadline is not None:
             observers.append(DeadlineWatchdog(job.deadline))
-    except ValueError as err:  # bad deadline or chaos spec
-        return _failure(job, "input-error", err, started)
+    except input_errors() as err:
+        return job_result(job, started, "input-error", error=err)
 
-    analysis_result = None
     try:
-        if phased:
-            analysis_result = analyze_program_twophase(
-                cfg,
-                domain,
-                policy,
-                max_evals=job.max_evals,
-                track_contributions=(resolved.name == "decoupled"),
-                widen_delay=resolved.get("delay", job.widen_delay),
-                solver=job.solver,
-                observers=observers,
-            )
-            result = analysis_result.solver_result
-        else:
-            result = spec(
-                system,
-                op,
-                analysis.root(),
-                max_evals=job.max_evals,
-                observers=observers,
-            )
+        solver_result = solve(setup, system=system, observers=observers)
     except DivergenceError as err:
-        return _failure(job, "divergence", err, started)
+        return job_result(job, started, "divergence", error=err)
     except Exception as err:
-        return _failure(job, "fault", err, started)
-
-    status, code = "ok", EXIT_OK
-    proved = unproved = 0
-    findings = 0
-    diagnostics: Tuple[dict, ...] = ()
-    if job.kind == "check":
-        from repro.checkers import apply_rules
-
-        analysis_result = collect_analysis(analysis, result)
-        diags = apply_rules(cfg, analysis_result, check_rules)
-        findings = len(diags)
-        diagnostics = tuple(d.to_json() for d in diags)
-        if findings:
-            status, code = "findings", EXIT_UNKNOWN
-    elif job.verify:
-        if analysis_result is None:
-            analysis_result = collect_analysis(analysis, result)
-        reports = check_assertions(cfg, analysis_result)
-        counts = summarize(reports)
-        proved = counts[Verdict.PROVED]
-        unproved = counts[Verdict.UNKNOWN] + counts[Verdict.VIOLATED]
-        if counts[Verdict.VIOLATED]:
-            status, code = "violated", EXIT_INPUT
-        elif counts[Verdict.UNKNOWN]:
-            status, code = "unknown", EXIT_UNKNOWN
-
-    stats = result.stats
-    return JobResult(
-        job=job.id,
-        family=job.family,
-        program=job.program,
-        status=status,
-        code=code,
-        solver=job.solver,
-        domain=job.domain,
-        context=job.context,
-        op=job.op,
-        hash=solution_fingerprint(result.sigma, analysis.lattice),
-        evaluations=stats.evaluations,
-        updates=stats.updates,
-        unknowns=stats.unknowns,
-        max_queue=stats.max_queue,
-        widen_updates=stats.widen_updates,
-        narrow_updates=stats.narrow_updates,
-        direction_switches=stats.direction_switches,
-        restarts=stats.restarts,
-        proved=proved,
-        unproved=unproved,
-        kind=job.kind,
-        findings=findings,
-        diagnostics=diagnostics,
-        wall_time=time.perf_counter() - started,
-        peak_rss_kb=_peak_rss_kb(),
-    )
+        return job_result(job, started, "fault", error=err)
+    return finish(setup, solver_result, started)

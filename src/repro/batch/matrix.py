@@ -63,8 +63,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.batch.bench import git_revision
-from repro.batch.jobs import build_domain, build_policy, solution_fingerprint
-from repro.lang import LexError, ParseError, SemanticError, compile_program
+from repro.batch.jobs import JobSpec, configure, solution_fingerprint, solve
+from repro.lang import LexError, ParseError, SemanticError
 from repro.solvers.stats import DivergenceError
 
 #: Format marker of the strategy-matrix document schema.
@@ -121,47 +121,43 @@ def split_column(column: str) -> Tuple[str, Optional[str]]:
     return spec, (solver if sep else None)
 
 
-def _run_cell(source: str, column: str, *, context: str, max_evals: int):
+def _run_cell(job: JobSpec):
     """One (program, strategy) solve; returns (AnalysisResult, seconds).
 
-    Phased strategies run the two-pass schedule, combine strategies a
-    single generic solve -- both seeded with the CLI's default widening
-    delay of 1 so the matrix isolates the *operator*, not the schedule.
-    A ``spec@solver`` column threads the solver name through; precision
+    The cell is the batch job of its column (:func:`_cell_job`), built by
+    the same stages as :func:`repro.batch.jobs.execute_job`: phased
+    strategies run the two-pass schedule, combine strategies a single
+    generic solve.  The seconds cover the solve, not the set-up.
+    """
+    from repro.analysis.inter import collect_analysis
+
+    setup = configure(job)
+    started = time.perf_counter()
+    result = collect_analysis(setup.analysis, solve(setup))
+    return result, time.perf_counter() - started
+
+
+def _cell_job(
+    family: str, program: str, source: str, column: str, context: str, max_evals: int
+) -> JobSpec:
+    """The job of one cell.
+
+    Every column is seeded with the CLI's default widening delay of 1, so
+    the matrix isolates the *operator*, not the schedule.  A
+    ``spec@solver`` column threads the solver name through; precision
     then measures the operator *and* the evaluation order it induces.
     """
-    from repro.analysis import analyze_program, collect_thresholds
-    from repro.analysis.inter import analyze_program_twophase
-    from repro.strategies import is_phased, resolve_spec, spec_needs_thresholds
-
     spec, solver = split_column(column)
-    cfg = compile_program(source)
-    thresholds = collect_thresholds(cfg) if spec_needs_thresholds(spec) else ()
-    domain = build_domain("interval", thresholds)
-    policy = build_policy(context, domain)
-    started = time.perf_counter()
-    if is_phased(spec):
-        resolved = resolve_spec(spec, widen_delay=1)
-        result = analyze_program_twophase(
-            cfg,
-            domain,
-            policy=policy,
-            max_evals=max_evals,
-            widen_delay=resolved.get("delay", 1),
-            track_contributions=(resolved.name == "decoupled"),
-            solver=solver if solver is not None else "slr+",
-        )
-    else:
-        result = analyze_program(
-            cfg,
-            domain,
-            policy=policy,
-            max_evals=max_evals,
-            op_spec=spec,
-            widen_delay=1,
-            solver=solver if solver is not None else "slr+",
-        )
-    return result, time.perf_counter() - started
+    return JobSpec(
+        id=f"{family}/{program}/{column}",
+        family=family,
+        program=program,
+        source=source,
+        context=context,
+        solver=solver if solver is not None else "slr+",
+        op=spec,
+        max_evals=max_evals,
+    )
 
 
 def _blank_cell(family: str, program: str, strategy: str) -> dict:
@@ -258,7 +254,7 @@ def run_matrix(
             cell = _blank_cell(family, program, spec)
             try:
                 result, seconds = _run_cell(
-                    source, spec, context=context, max_evals=max_evals
+                    _cell_job(family, program, source, spec, context, max_evals)
                 )
             except DivergenceError as err:
                 cell.update(status="divergence", code=3, error=str(err))

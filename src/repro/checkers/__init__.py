@@ -7,7 +7,8 @@ and turns the computed invariants into structured, deterministic
 dead code, assertion verdicts, uninitialised reads.  The same findings
 are served through three transports (``repro check``, batch
 ``kind="check"`` jobs, the service's ``check`` requests), all of which
-delegate to :func:`run_check` / :func:`apply_rules` here.
+solve through :func:`repro.batch.jobs.configure` and run
+:func:`apply_rules` here.
 
 See ``docs/checkers.md`` for the architecture tour and the rule
 catalogue, and ``examples/buggy/`` for the golden corpus.

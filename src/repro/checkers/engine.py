@@ -1,11 +1,12 @@
 """The checker engine: solve, then interrogate the invariants.
 
-:func:`run_check` is the one entry point behind every serving layer --
-the ``repro check`` CLI, the batch farm's ``kind="check"`` jobs, and the
-service daemon's ``check`` requests all funnel through
-:func:`apply_rules` over an analysis produced with *exactly* the solver
-construction of :func:`repro.batch.jobs.execute_job`, so the three
-transports can never disagree about a program's diagnostics.
+:func:`run_check` is the library entry point behind ``repro check``.
+It, the batch farm's ``kind="check"`` jobs and the service daemon's
+``check`` requests (which run as batch jobs) build their analysis with
+the shared stages of :mod:`repro.batch.jobs` -- :func:`configure
+<repro.batch.jobs.configure>`, then :func:`solve <repro.batch.jobs.solve>`
+-- and run :func:`apply_rules` over it, so the three transports can never
+disagree about a program's diagnostics.
 
 The operator spec is part of a check's identity: rules read the computed
 abstract states, so a less precise operator (pure widening) produces
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.checkers.diagnostics import Diagnostic, diagnostics_document
-from repro.checkers.rules import CheckContext, CheckerRule, resolve_rules
+from repro.checkers.rules import CheckContext, CheckerRule
 
 #: The default operator for checks: the paper's combined operator with
 #: the standard delay -- precise enough to keep the clean corpus free of
@@ -111,57 +112,36 @@ def run_check(
     :class:`~repro.solvers.stats.DivergenceError` (exit 3).  Anything
     else is an internal fault (exit 4).
     """
-    from repro.analysis import collect_thresholds
-    from repro.analysis.inter import InterAnalysis, collect_analysis
-    from repro.batch.jobs import build_domain, build_policy
-    from repro.lang import compile_program
-    from repro.solvers.registry import get_solver
-    from repro.strategies import (
-        BuildContext,
-        SpecError,
-        build_combine,
-        format_spec,
-        get_strategy,
-        resolve_spec,
-    )
+    from repro.analysis.inter import collect_analysis
+    from repro.batch.jobs import JobSpec, configure, solve
+    from repro.strategies import format_spec
 
-    selected = resolve_rules(rules)
-    resolved = resolve_spec(op, widen_delay=widen_delay)
-    strategy = get_strategy(resolved.name)
-    if strategy.kind != "combine":
-        raise SpecError(
-            f"check requires a solve-ready combine strategy; "
-            f"{strategy.name!r} is {strategy.kind} "
-            "(try e.g. 'warrow:delay=1' or 'widen')"
+    setup = configure(
+        JobSpec(
+            id=program,
+            family="check",
+            program=program,
+            source=source,
+            domain=domain,
+            context=context,
+            solver=solver,
+            op=op,
+            widen_delay=widen_delay,
+            thresholds=thresholds,
+            max_evals=max_evals,
+            kind="check",
+            rules=tuple(rules or ()),
         )
-    canonical = format_spec(resolved)
-    cfg = compile_program(source)
-    need_thresholds = thresholds or strategy.needs_thresholds
-    collected = collect_thresholds(cfg) if need_thresholds else ()
-    dom = build_domain(domain, collected)
-    policy = build_policy(context, dom)
-    analysis = InterAnalysis(cfg, dom, policy)
-    solve = get_solver(solver, side_effecting=True, scope="local", takes_op=True)
-    combine = build_combine(
-        resolved,
-        analysis.lattice,
-        ctx=BuildContext(cfg=cfg, thresholds=tuple(collected)),
     )
-    solver_result = solve(
-        analysis.system(),
-        combine,
-        analysis.root(),
-        max_evals=max_evals,
-        observers=observers,
-    )
-    result = collect_analysis(analysis, solver_result)
-    diagnostics = apply_rules(cfg, result, selected)
+    solver_result = solve(setup, observers=observers)
+    result = collect_analysis(setup.analysis, solver_result)
+    diagnostics = apply_rules(setup.cfg, result, setup.rules)
     return CheckReport(
         program=program,
-        op=canonical,
+        op=format_spec(setup.strategy),
         domain=domain,
         context=context,
-        rules=tuple(rule.name for rule in selected),
+        rules=tuple(rule.name for rule in setup.rules),
         diagnostics=diagnostics,
         evaluations=solver_result.stats.evaluations,
         unknowns=solver_result.stats.unknowns,

@@ -30,17 +30,15 @@ solver divergence (budget or watchdog), ``4`` internal faults.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
-from repro.analysis import (
-    analyze_program,
-    check_assertions,
-    collect_thresholds,
-    summarize,
-)
-from repro.analysis.inter import analyze_program_twophase
+from repro.analysis import check_assertions, summarize
+from repro.analysis.inter import collect_analysis
 from repro.analysis.verify import Verdict
+from repro.batch.jobs import JobSpec, configure, solve
 from repro.lang import Interpreter, compile_program
 from repro.lattices.lifted import LiftedBottom
 
@@ -48,27 +46,6 @@ from repro.lattices.lifted import LiftedBottom
 def _read_source(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _policy(name: str, domain):
-    from repro.batch.jobs import build_policy
-
-    try:
-        return build_policy(name, domain)
-    except ValueError as err:
-        raise SystemExit(str(err))
-
-
-def _domain(args, cfg):
-    from repro.batch.jobs import build_domain
-
-    thresholds = ()
-    if getattr(args, "thresholds", False):
-        thresholds = collect_thresholds(cfg)
-    try:
-        return build_domain(getattr(args, "domain", "interval"), thresholds)
-    except ValueError as err:
-        raise SystemExit(str(err))
 
 
 def _effective_spec(args) -> Optional[str]:
@@ -86,44 +63,25 @@ def _effective_spec(args) -> Optional[str]:
     return None
 
 
-def _analyze(args):
-    cfg = compile_program(_read_source(args.file))
-    domain = _domain(args, cfg)
-    policy = _policy(args.context, domain)
-    spec = _effective_spec(args)
-    if spec is None:
-        result = analyze_program(
-            cfg,
-            domain,
-            policy=policy,
-            max_evals=args.max_evals,
-            solver=args.local_solver,
-        )
-        return cfg, result, domain
+def _job(args) -> JobSpec:
+    """The job an analysis command runs on ``args.file``.
 
-    from repro.strategies import is_phased, resolve_spec
-
-    if is_phased(spec):
-        resolved = resolve_spec(spec, widen_delay=1)
-        result = analyze_program_twophase(
-            cfg,
-            domain,
-            policy=policy,
-            max_evals=args.max_evals,
-            solver=args.local_solver,
-            widen_delay=resolved.get("delay", 1),
-            track_contributions=(resolved.name == "decoupled"),
-        )
-    else:
-        result = analyze_program(
-            cfg,
-            domain,
-            policy=policy,
-            max_evals=args.max_evals,
-            solver=args.local_solver,
-            op_spec=spec,
-        )
-    return cfg, result, domain
+    Built from the same options as a batch job, so ``repro analyze`` and
+    friends solve exactly what ``repro bench`` and the service solve for
+    the same program (default operator: ⌴ with delay 1).
+    """
+    return JobSpec(
+        id=args.file,
+        family="cli",
+        program=os.path.basename(args.file),
+        source=_read_source(args.file),
+        domain=args.domain,
+        context=args.context,
+        solver=args.local_solver,
+        op=_effective_spec(args) or "warrow",
+        thresholds=args.thresholds,
+        max_evals=args.max_evals,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -146,7 +104,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg, result, domain = _analyze(args)
+    setup = configure(_job(args))
+    result = collect_analysis(setup.analysis, solve(setup))
+    cfg, domain = setup.cfg, setup.domain
     print(
         f"analysis: {args.domain} domain, {args.solver} solver, "
         f"{args.context} contexts -- "
@@ -185,8 +145,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, result, _ = _analyze(args)
-    reports = check_assertions(cfg, result)
+    setup = configure(_job(args))
+    result = collect_analysis(setup.analysis, solve(setup))
+    reports = check_assertions(setup.cfg, result)
     if not reports:
         print("no assertions found")
         return 0
@@ -245,36 +206,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from repro.analysis.inter import InterAnalysis
-    from repro.strategies import (
-        BuildContext,
-        build_combine,
-        is_phased,
-        spec_needs_thresholds,
-    )
     from repro.supervise import ChaosPolicy, FaultSpec, supervised_solve
 
-    spec = _effective_spec(args) or "warrow:delay=1"
-    if is_phased(spec):
-        print(
-            f"error: strategy {spec!r} is phased (two solver passes) and "
-            "cannot run under the single-pass supervision layer; use "
-            "`repro analyze --op ...` instead",
-            file=sys.stderr,
-        )
-        return 2
-    cfg = compile_program(_read_source(args.file))
-    domain = _domain(args, cfg)
-    policy = _policy(args.context, domain)
-    analysis = InterAnalysis(cfg, domain, policy)
-    thresholds = ()
-    if args.thresholds or spec_needs_thresholds(spec):
-        thresholds = tuple(collect_thresholds(cfg))
-    op = build_combine(
-        spec,
-        analysis.lattice,
-        ctx=BuildContext(cfg=cfg, thresholds=thresholds),
-        widen_delay=1,
+    # Supervision resolves and checks its own solvers: --local-solver, then
+    # the --fallback cascade.
+    setup = configure(replace(_job(args), solver="slr+"))
+    op = setup.single_pass(
+        "under the single-pass supervision layer; use `repro analyze --op ...` "
+        "instead"
     )
 
     chaos = None
@@ -290,9 +229,9 @@ def cmd_solve(args) -> int:
         )
 
     report = supervised_solve(
-        analysis.system(),
+        setup.analysis.system(),
         op,
-        analysis.root(),
+        setup.analysis.root(),
         solver=args.local_solver,
         fallback=tuple(args.fallback or ()),
         deadline=args.deadline,
@@ -411,21 +350,14 @@ def cmd_dump_cfg(args) -> int:
 
 
 def cmd_incr(args) -> int:
-    from repro.incremental import (
-        SolverState,
-        analyze_and_snapshot,
-        reanalyze_program,
-    )
+    from repro.incremental import SolverState, capture, reanalyze_program
 
-    old_cfg = compile_program(_read_source(args.file))
+    # The cold solve and the warm start both run SLR+.
+    old = configure(replace(_job(args), solver="slr+"))
+    old.single_pass("as a warm start")
     new_cfg = compile_program(_read_source(args.edited))
-    domain = _domain(args, old_cfg)
-    policy = _policy(args.context, domain)
-    spec = _effective_spec(args)
-
-    result, state = analyze_and_snapshot(
-        old_cfg, domain, policy=policy, max_evals=args.max_evals, op_spec=spec
-    )
+    result = collect_analysis(old.analysis, solve(old))
+    state = capture(result.solver_result, "slr+")
     cold_evals = result.solver_result.stats.evaluations
     print(
         f"cold solve of {args.file}: {result.unknown_count} unknowns, "
@@ -443,16 +375,16 @@ def cmd_incr(args) -> int:
         print(f"state saved to {args.state_file} and restored")
 
     report = reanalyze_program(
-        old_cfg,
+        old.cfg,
         new_cfg,
         state,
-        domain,
-        policy=policy,
+        old.domain,
+        policy=old.policy,
         max_evals=args.max_evals,
         closure=args.closure,
         reset=args.reset,
         compare_scratch=not args.no_compare,
-        op_spec=spec,
+        op_spec=_effective_spec(args),
     )
     diff = report.diff
     print(

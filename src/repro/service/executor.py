@@ -20,6 +20,9 @@ stack:
   the cold path, so warm starting is purely an optimization, never a
   soundness risk.
 
+Both paths configure the request and build its result with the batch
+layer's stages (:func:`~repro.batch.jobs.configure`,
+:func:`~repro.batch.jobs.finish`), and check requests run as batch jobs.
 Like :func:`repro.batch.jobs.execute_job`, :func:`execute_service_job`
 **never raises**: every failure class maps onto the CLI exit-code
 taxonomy inside a structured :class:`~repro.batch.jobs.JobResult`.
@@ -32,15 +35,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.batch.jobs import (
-    EXIT_INPUT,
-    EXIT_OK,
-    EXIT_UNKNOWN,
     JobResult,
     JobSpec,
-    _failure,
-    _peak_rss_kb,
     build_domain,
     build_policy,
+    configure,
+    finish,
+    input_errors,
+    job_result,
     solution_fingerprint,
 )
 from repro.incremental import (
@@ -50,22 +52,18 @@ from repro.incremental import (
     transfer_state,
 )
 from repro.incremental.warmstart import warm_solve_slr_side
-from repro.lang import LexError, ParseError, SemanticError, compile_program
+from repro.lang import compile_program
 from repro.lang.diff import CfgDiff, diff_cfg
-from repro.solvers.registry import (
-    SolverCapabilityError,
-    UnknownSolverError,
-    get_solver,
-)
 from repro.solvers.stats import DivergenceError
-from repro.strategies import (
-    BuildContext,
-    UnknownStrategyError,
-    build_combine,
-    spec_needs_thresholds,
-)
+from repro.strategies import build_combine
 from repro.supervise import supervised_solve
 from repro.supervise.watchdog import DeadlineWatchdog
+
+#: Names the benchmark tracer (perfbench/tracing.py, ``PATCHES``) wraps in
+#: this module.  :func:`~repro.batch.jobs.configure` and
+#: :func:`~repro.batch.jobs.finish` call them, not this module, but the
+#: tracer's ``install()`` fails unless they stay attributes here.
+_TRACED = (build_domain, build_policy, build_combine, solution_fingerprint)
 
 #: Watchdog exception class names mapped onto failure-kind labels the
 #: request log records (see :attr:`ServiceExecution.failure_kind`).
@@ -137,87 +135,18 @@ def should_warm(
     return len(diff.dirty_nodes) / total <= max_dirty_ratio
 
 
-def _setup(job: JobSpec):
-    """Compile and configure a request; raises input-class errors."""
-    from repro.analysis import collect_thresholds
-    from repro.analysis.inter import InterAnalysis
-
-    cfg = compile_program(job.source)
-    need_thresholds = job.thresholds or spec_needs_thresholds(job.op)
-    thresholds = collect_thresholds(cfg) if need_thresholds else ()
-    domain = build_domain(job.domain, thresholds)
-    policy = build_policy(job.context, domain)
-    analysis = InterAnalysis(cfg, domain, policy)
-    get_solver(job.solver, side_effecting=True, scope="local", takes_op=True)
-    op = build_combine(
-        job.op,
-        analysis.lattice,
-        ctx=BuildContext(cfg=cfg, thresholds=tuple(thresholds)),
-        widen_delay=job.widen_delay,
-    )
-    return cfg, analysis, op
+def _configure(job: JobSpec):
+    """The request's setup; a service solve is one supervised pass."""
+    setup = configure(job)
+    setup.single_pass("as a service request")
+    return setup
 
 
-def _verdicts(job: JobSpec, cfg, analysis, solver_result):
-    """Assertion verdicts folded into (status, code, proved, unproved)."""
-    from repro.analysis import check_assertions, summarize
-    from repro.analysis.inter import collect_analysis
-    from repro.analysis.verify import Verdict
-
-    status, code = "ok", EXIT_OK
-    proved = unproved = 0
-    if job.verify:
-        reports = check_assertions(
-            cfg, collect_analysis(analysis, solver_result)
-        )
-        counts = summarize(reports)
-        proved = counts[Verdict.PROVED]
-        unproved = counts[Verdict.UNKNOWN] + counts[Verdict.VIOLATED]
-        if counts[Verdict.VIOLATED]:
-            status, code = "violated", EXIT_INPUT
-        elif counts[Verdict.UNKNOWN]:
-            status, code = "unknown", EXIT_UNKNOWN
-    return status, code, proved, unproved
-
-
-def _result(
-    job: JobSpec, status, code, solver_result, lattice, started, **counts
-) -> JobResult:
-    stats = solver_result.stats
-    return JobResult(
-        job=job.id,
-        family=job.family,
-        program=job.program,
-        status=status,
-        code=code,
-        solver=job.solver,
-        domain=job.domain,
-        context=job.context,
-        op=job.op,
-        hash=solution_fingerprint(solver_result.sigma, lattice),
-        evaluations=stats.evaluations,
-        updates=stats.updates,
-        unknowns=stats.unknowns,
-        max_queue=stats.max_queue,
-        widen_updates=stats.widen_updates,
-        narrow_updates=stats.narrow_updates,
-        direction_switches=stats.direction_switches,
-        restarts=stats.restarts,
-        wall_time=time.perf_counter() - started,
-        peak_rss_kb=_peak_rss_kb(),
-        **counts,
-    )
-
-
-def _capture_state(spec_name: str, solver_result, lattice) -> Optional[str]:
+def _capture_state(setup, solver_result) -> Optional[str]:
     """The serialized resume snapshot, when the solver supports it."""
-    try:
-        solver = get_solver(spec_name)
-    except UnknownSolverError:  # pragma: no cover - validated upstream
+    if not setup.solver.supports_warm_start:
         return None
-    if not solver.supports_warm_start:
-        return None
-    return capture(solver_result, solver.name).dumps(lattice)
+    return capture(solver_result, setup.solver.name).dumps(setup.analysis.lattice)
 
 
 # --------------------------------------------------------------------- #
@@ -226,23 +155,16 @@ def _capture_state(spec_name: str, solver_result, lattice) -> Optional[str]:
 
 def _execute_cold(job: JobSpec, started: float) -> ServiceExecution:
     try:
-        cfg, analysis, op = _setup(job)
-    except (
-        LexError,
-        ParseError,
-        SemanticError,
-        UnknownSolverError,
-        UnknownStrategyError,
-        SolverCapabilityError,
-        ValueError,
-    ) as err:
+        setup = _configure(job)
+    except input_errors() as err:
         return ServiceExecution(
-            result=_failure(job, "input-error", err, started)
+            result=job_result(job, started, "input-error", error=err)
         )
 
+    analysis = setup.analysis
     report = supervised_solve(
         analysis.system(),
-        op,
+        setup.op,
         analysis.root(),
         solver=job.solver,
         deadline=job.deadline,
@@ -257,36 +179,19 @@ def _execute_cold(job: JobSpec, started: float) -> ServiceExecution:
             else "divergence"
         )
         err = DivergenceError(report.fatal or "supervised solve failed")
-        failure = _failure(job, status, err, started)
-        failure = JobResult(
-            **{
-                **failure.to_json(),
-                "evaluations": report.total_evaluations,
-            }
+        failure = job_result(
+            job, started, status, error=err, evaluations=report.total_evaluations
         )
         return ServiceExecution(
             result=failure, failure_kind=_classify_failure(report)
         )
 
-    solver_result = report.result
-    status, code, proved, unproved = _verdicts(
-        job, cfg, analysis, solver_result
-    )
-    result = _result(
-        job,
-        status,
-        code,
-        solver_result,
-        analysis.lattice,
-        started,
-        proved=proved,
-        unproved=unproved,
-    )
+    result = finish(setup, report.result, started)
     # The cascade may have degraded to a different solver; only capture
     # a snapshot the *requested* solver's warm start can consume.
     state = None
-    if report.solver == get_solver(job.solver).name:
-        state = _capture_state(job.solver, solver_result, analysis.lattice)
+    if report.solver == setup.solver.name:
+        state = _capture_state(setup, report.result)
     return ServiceExecution(
         result=result, state=state, mode="cold", verified=bool(report.verified)
     )
@@ -306,17 +211,12 @@ def _execute_warm(
 ) -> Optional[ServiceExecution]:
     """Try the warm path; ``None`` means "fall back to cold"."""
     try:
-        cfg, analysis, op = _setup(job)
+        setup = _configure(job)
         old_cfg = compile_program(donor_source)
-    except (
-        LexError,
-        ParseError,
-        SemanticError,
-        UnknownStrategyError,
-        ValueError,
-    ):
+    except input_errors():
         return None  # cold path re-raises for proper classification
 
+    cfg, analysis = setup.cfg, setup.analysis
     diff = diff_cfg(old_cfg, cfg)
     if not should_warm(diff, cfg, max_dirty_ratio=max_dirty_ratio):
         return None
@@ -324,7 +224,7 @@ def _execute_warm(
         state = SolverState.loads(donor_state, analysis.lattice)
     except Exception:
         return None  # corrupt or incompatible snapshot: solve cold
-    if state.solver != get_solver(job.solver).name:
+    if state.solver != setup.solver.name:
         return None
 
     transferred, dirty = transfer_state(state, diff, cfg)
@@ -335,7 +235,7 @@ def _execute_warm(
     try:
         solver_result = warm_solve_slr_side(
             system,
-            op,
+            setup.op,
             analysis.root(),
             transferred,
             dirty,
@@ -344,7 +244,7 @@ def _execute_warm(
         )
     except DivergenceError as err:
         return ServiceExecution(
-            result=_failure(job, "divergence", err, started),
+            result=job_result(job, started, "divergence", error=err),
             mode="warm",
             warm_donor=donor_key,
             dirty_nodes=len(diff.dirty_nodes),
@@ -357,22 +257,9 @@ def _execute_warm(
         # A warm resume that is not a post solution must never be
         # served; re-solve cold (and let supervision verify that).
         return None
-    status, code, proved, unproved = _verdicts(
-        job, cfg, analysis, solver_result
-    )
-    result = _result(
-        job,
-        status,
-        code,
-        solver_result,
-        analysis.lattice,
-        started,
-        proved=proved,
-        unproved=unproved,
-    )
     return ServiceExecution(
-        result=result,
-        state=_capture_state(job.solver, solver_result, analysis.lattice),
+        result=finish(setup, solver_result, started),
+        state=_capture_state(setup, solver_result),
         mode="warm",
         warm_donor=donor_key,
         dirty_nodes=len(diff.dirty_nodes),

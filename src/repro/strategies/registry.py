@@ -26,8 +26,8 @@ Two *kinds* of strategy exist:
 ``phased``
     A widen-then-narrow schedule with two separate solver passes
     (``twophase``, ``decoupled``); executed by
-    :func:`repro.analysis.inter.analyze_program_twophase` rather than a
-    single generic solve.
+    :func:`repro.analysis.inter.solve_twophase` rather than a single
+    generic solve.
 
 ``solve_ready`` separates the strategies that terminate with a sound
 post solution on their own (⌴ and friends, ascending-only widening)
@@ -71,16 +71,14 @@ class UnknownStrategyError(LookupError):
 class BuildContext:
     """Optional build-time inputs a strategy factory may consume.
 
-    Plain combine strategies need only the lattice; the context carries
-    what the richer ones want: the program CFG (``wpoint`` computes
-    loop heads from it) and the collected widening thresholds
-    (``threshold-widen`` documents that the domain must carry them).
+    Plain combine strategies need only the lattice; ``wpoint`` also
+    wants the program CFG, to compute loop heads from it.  Widening
+    thresholds are not built here: they live in the domain, which the
+    executors build with them when ``needs_thresholds`` is set.
     """
 
     #: The program's control-flow graph (``None`` when unavailable).
     cfg: object = None
-    #: Widening thresholds collected from the program's constants.
-    thresholds: Tuple = ()
 
 
 @dataclass(frozen=True)

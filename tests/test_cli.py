@@ -300,6 +300,40 @@ class TestDomainsAndThresholds:
         assert main(["verify", str(path)]) == 1  # unknown without
         assert main(["verify", str(path), "--thresholds"]) == 0
 
+    def test_threshold_strategy_solves_what_the_batch_job_solves(
+        self, tmp_path, capsys
+    ):
+        """``--op threshold-widen`` collects thresholds without the flag,
+        as batch jobs, the service and ``repro check`` do."""
+        import re
+        from dataclasses import replace
+
+        from repro.batch.jobs import JobSpec, execute_job
+        from repro.bench.wcet import PROGRAMS
+
+        source = PROGRAMS["bs"].source
+        path = tmp_path / "bs.mc"
+        path.write_text(source)
+        job = JobSpec(
+            id="wcet/bs", family="wcet", program="bs", source=source,
+            op="threshold-widen",
+        )
+        evaluations = execute_job(job).evaluations
+        # The thresholds change the solve: plain widening costs less.
+        assert execute_job(replace(job, op="widen")).evaluations != evaluations
+
+        assert main(["analyze", str(path), "--op", "threshold-widen"]) == 0
+        assert f"unknowns, {evaluations} evaluations" in capsys.readouterr().out
+        code = main(["solve", str(path), "--op", "threshold-widen", "--stats"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert re.search(rf"evaluations: +{evaluations}\n", out)
+        code = main(
+            ["incr", str(path), str(path), "--op", "threshold-widen", "--no-compare"]
+        )
+        assert code == 0
+        assert f"unknowns, {evaluations} evaluations" in capsys.readouterr().out
+
     def test_interval_congruence_domain(self, tmp_path):
         path = tmp_path / "stride.mc"
         path.write_text(self.STRIDE)
