@@ -16,8 +16,8 @@ from repro.bench.wcet import PROGRAMS
 from repro.lang import compile_program
 from repro.lattices.lifted import LiftedBottom
 from repro.solvers import (
-    SelectiveWarrowCombine,
     WarrowCombine,
+    selective_warrow_combine,
     solve_sw,
     widening_points,
 )
@@ -57,7 +57,7 @@ def run_ablation():
         )
         selective = solve_sw(
             system,
-            SelectiveWarrowCombine(env_lat, points),
+            selective_warrow_combine(env_lat, points),
             order=order,
             max_evals=2_000_000,
         )

@@ -418,7 +418,8 @@ def configure(job: JobSpec) -> Setup:
     Widening thresholds are collected exactly when the job sets
     ``thresholds`` or its strategy needs them.  A check job needs a
     combine strategy: a phased one raises
-    :class:`~repro.strategies.SpecError`.
+    :class:`~repro.strategies.SpecError`.  A deadline that is not
+    positive raises ``ValueError``, like any other bad option.
     """
     # Imported per call: perfbench/tracing.py wraps collect_thresholds and
     # build_combine in these modules, build_domain and build_policy here.
@@ -460,6 +461,8 @@ def configure(job: JobSpec) -> Setup:
     op = None
     if not phased:
         op = build_combine(resolved, analysis.lattice, ctx=BuildContext(cfg=cfg))
+    if job.deadline is not None and job.deadline <= 0:
+        raise ValueError("deadline must be positive")
     return Setup(job, cfg, domain, policy, analysis, resolved, solver, op, rules)
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.analysis import check_assertions, summarize
@@ -208,9 +207,7 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     from repro.supervise import ChaosPolicy, FaultSpec, supervised_solve
 
-    # Supervision resolves and checks its own solvers: --local-solver, then
-    # the --fallback cascade.
-    setup = configure(replace(_job(args), solver="slr+"))
+    setup = configure(_job(args))
     op = setup.single_pass(
         "under the single-pass supervision layer; use `repro analyze --op ...` "
         "instead"
@@ -232,7 +229,7 @@ def cmd_solve(args) -> int:
         setup.analysis.system(),
         op,
         setup.analysis.root(),
-        solver=args.local_solver,
+        solver=setup.solver.name,
         fallback=tuple(args.fallback or ()),
         deadline=args.deadline,
         max_evals=args.max_evals,
@@ -352,12 +349,12 @@ def cmd_dump_cfg(args) -> int:
 def cmd_incr(args) -> int:
     from repro.incremental import SolverState, capture, reanalyze_program
 
-    # The cold solve and the warm start both run SLR+.
-    old = configure(replace(_job(args), solver="slr+"))
+    # The snapshot names its solver, so the warm start resumes the same one.
+    old = configure(_job(args))
     old.single_pass("as a warm start")
     new_cfg = compile_program(_read_source(args.edited))
     result = collect_analysis(old.analysis, solve(old))
-    state = capture(result.solver_result, "slr+")
+    state = capture(result.solver_result, old.solver.name)
     cold_evals = result.solver_result.stats.evaluations
     print(
         f"cold solve of {args.file}: {result.unknown_count} unknowns, "

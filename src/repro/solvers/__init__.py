@@ -42,6 +42,7 @@ from repro.solvers.combine import (
     MeetCombine,
     NarrowCombine,
     OverrideCombine,
+    PerVariableCombine,
     WarrowCombine,
     WidenCombine,
     warrow,
@@ -93,8 +94,8 @@ from repro.solvers.td import solve_td
 from repro.solvers.twophase import TwoPhaseResult, solve_twophase
 from repro.solvers.wl import solve_wl
 from repro.solvers.wpoints import (
-    SelectiveCombine,
-    SelectiveWarrowCombine,
+    selective_combine,
+    selective_warrow_combine,
     widening_points,
 )
 
@@ -107,6 +108,7 @@ __all__ = [
     "MeetCombine",
     "NarrowCombine",
     "OverrideCombine",
+    "PerVariableCombine",
     "WarrowCombine",
     "WidenCombine",
     "warrow",
@@ -154,7 +156,7 @@ __all__ = [
     "TwoPhaseResult",
     "solve_twophase",
     "solve_wl",
-    "SelectiveCombine",
-    "SelectiveWarrowCombine",
+    "selective_combine",
+    "selective_warrow_combine",
     "widening_points",
 ]

@@ -13,19 +13,29 @@ widening/narrowing operator, which we spell ``warrow``::
 Operators are modelled as callables ``op(x, old, new) -> combined`` that also
 receive the unknown ``x``; stateless operators ignore it, while the
 per-unknown book-keeping variants (delayed widening, the k-bounded
-termination safeguard from the end of Section 4) key their state on it.
+termination safeguard from the end of Section 4) key their state on it,
+and :class:`PerVariableCombine` routes it to one of several operators.
 """
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable
+from typing import Callable, Dict, Hashable, Optional
 
 from repro.lattices.base import Lattice
 
 
 class Combine(ABC):
-    """A binary update operator with optional per-unknown state."""
+    """A binary update operator with optional per-unknown state.
+
+    Operators declare their state instead of managing it: ``parts`` maps
+    each field of :meth:`state_parts` to the attribute holding that
+    per-unknown map, and a router keeps its member operators in
+    ``members``.  :meth:`fresh`, :meth:`state_parts`,
+    :meth:`load_state_parts` and :meth:`children` follow from these two
+    declarations.
+    """
 
     #: Whether ``(a op b) op b == a op b`` holds for all a, b.  Solvers may
     #: exploit idempotence; the combined operator is *not* idempotent.
@@ -37,31 +47,36 @@ class Combine(ABC):
     #: :meth:`fresh` so engines can stamp the strategy into their stats.
     spec = None
 
+    #: ``state_parts()`` field -> attribute of the per-unknown map
+    #: ``{unknown: scalar}`` it exports.
+    parts: Dict[str, str] = {}
+
+    #: Named member operators of a router (``{}`` for leaves).
+    members: Dict[str, "Combine"] = {}
+
+    def __init__(self, lattice: Optional[Lattice] = None) -> None:
+        self.lattice = lattice
+        self.load_state_parts({})
+
     @abstractmethod
     def __call__(self, x: Hashable, old, new):
         """Combine the ``old`` value of ``x`` with the ``new`` contribution."""
 
-    def reset(self) -> None:
-        """Clear any per-unknown state (called at the start of a solve)."""
-
     def fresh(self) -> "Combine":
         """Return an equivalent operator with cleared, *unshared* state.
 
-        Stateless operators may return ``self``; every operator with
-        per-unknown state must return a **new instance** -- two solver
-        runs handed the same operator object (e.g. by the service's
-        thread pool) must never share ``_grow_counts``/``_switches``
-        maps.  Subclasses with constructor state override :meth:`_clone`;
-        this wrapper carries the ``spec`` attribute across.
+        Two solver runs handed the same operator object (e.g. by the
+        service's thread pool) must never share per-unknown maps, so an
+        operator with state, its own or its members', is copied with
+        empty maps and fresh members; its parameters and ``spec`` carry
+        over.  Stateless operators return ``self``.
         """
-        clone = self._clone()
-        if clone is not self:
-            clone.spec = self.spec
+        if not self.parts and not self.members:
+            return self
+        clone = copy.copy(self)
+        clone.load_state_parts({})
+        clone.members = {label: m.fresh() for label, m in self.members.items()}
         return clone
-
-    def _clone(self) -> "Combine":
-        """A new equivalent instance with cleared state (see :meth:`fresh`)."""
-        return self
 
     # ----------------------------------------------------------------- #
     # Serializable per-unknown state (incremental/checkpoint resume).    #
@@ -71,20 +86,22 @@ class Combine(ABC):
         """The operator's per-unknown state as ``field -> {unknown: scalar}``.
 
         Scalars must be JSON-able (ints or short strings); the nested
-        export/import over wrapper operators lives in
+        export/import over routers lives in
         :mod:`repro.strategies.state`.  Stateless operators return ``{}``.
         """
-        return {}
+        return {field: dict(getattr(self, attr)) for field, attr in self.parts.items()}
 
     def load_state_parts(
         self, parts: Dict[str, Dict[Hashable, object]]
     ) -> None:
         """Restore state exported by :meth:`state_parts` (missing keys
         reset to empty)."""
+        for field, attr in self.parts.items():
+            setattr(self, attr, dict(parts.get(field, {})))
 
     def children(self) -> Dict[str, "Combine"]:
-        """Named member operators of a wrapper strategy (``{}`` for leaves)."""
-        return {}
+        """Named member operators of a router (``{}`` for leaves)."""
+        return dict(self.members)
 
 
 class OverrideCombine(Combine):
@@ -101,9 +118,6 @@ class JoinCombine(Combine):
 
     idempotent = True
 
-    def __init__(self, lattice: Lattice) -> None:
-        self.lattice = lattice
-
     def __call__(self, x, old, new):
         return self.lattice.join(old, new)
 
@@ -112,9 +126,6 @@ class MeetCombine(Combine):
     """``op = meet``: solutions are *pre* solutions (sigma[x] <= f_x(sigma))."""
 
     idempotent = True
-
-    def __init__(self, lattice: Lattice) -> None:
-        self.lattice = lattice
 
     def __call__(self, x, old, new):
         return self.lattice.meet(old, new)
@@ -130,22 +141,11 @@ class WidenCombine(Combine):
     comparing against a delayed combined operator.
     """
 
+    parts = {"grow": "_grow_counts"}
+
     def __init__(self, lattice: Lattice, delay: int = 0) -> None:
-        self.lattice = lattice
+        super().__init__(lattice)
         self.delay = delay
-        self._grow_counts: Dict[Hashable, int] = {}
-
-    def reset(self) -> None:
-        self._grow_counts.clear()
-
-    def _clone(self) -> "WidenCombine":
-        return type(self)(self.lattice, self.delay)
-
-    def state_parts(self):
-        return {"grow": dict(self._grow_counts)}
-
-    def load_state_parts(self, parts) -> None:
-        self._grow_counts = dict(parts.get("grow", {}))
 
     def __call__(self, x, old, new):
         if self.delay and not self.lattice.leq(new, old):
@@ -167,9 +167,6 @@ class NarrowCombine(Combine):
     the identity.
     """
 
-    def __init__(self, lattice: Lattice) -> None:
-        self.lattice = lattice
-
     def __call__(self, x, old, new):
         clipped = new if self.lattice.leq(new, old) else self.lattice.meet(old, new)
         return self.lattice.narrow(old, clipped)
@@ -185,22 +182,11 @@ class WarrowCombine(Combine):
     finitely many joins, widening takes over).
     """
 
+    parts = {"grow": "_grow_counts"}
+
     def __init__(self, lattice: Lattice, delay: int = 0) -> None:
-        self.lattice = lattice
+        super().__init__(lattice)
         self.delay = delay
-        self._grow_counts: Dict[Hashable, int] = {}
-
-    def reset(self) -> None:
-        self._grow_counts.clear()
-
-    def _clone(self) -> "WarrowCombine":
-        return type(self)(self.lattice, self.delay)
-
-    def state_parts(self):
-        return {"grow": dict(self._grow_counts)}
-
-    def load_state_parts(self, parts) -> None:
-        self._grow_counts = dict(parts.get("grow", {}))
 
     def __call__(self, x, old, new):
         if self.lattice.leq(new, old):
@@ -228,27 +214,16 @@ class BoundedWarrowCombine(Combine):
     ``sigma[x] >= f_x(sigma)``.
     """
 
+    parts = {"switches": "_switches", "mode": "_mode"}
+    #: The growth step (a lattice method) and the mode label it records.
+    growth = label = "widen"
+
     def __init__(self, lattice: Lattice, k: int = 2) -> None:
         if k < 0:
-            raise ValueError("threshold k must be non-negative")
-        self.lattice = lattice
+            raise ValueError("switch bound must be non-negative")
+        super().__init__(lattice)
         self.k = k
-        self._switches: Dict[Hashable, int] = {}
-        self._mode: Dict[Hashable, str] = {}
-
-    def reset(self) -> None:
-        self._switches.clear()
-        self._mode.clear()
-
-    def _clone(self) -> "BoundedWarrowCombine":
-        return type(self)(self.lattice, self.k)
-
-    def state_parts(self):
-        return {"switches": dict(self._switches), "mode": dict(self._mode)}
-
-    def load_state_parts(self, parts) -> None:
-        self._switches = dict(parts.get("switches", {}))
-        self._mode = dict(parts.get("mode", {}))
+        self._grow = getattr(lattice, self.growth)
 
     def __call__(self, x, old, new):
         if self.lattice.leq(new, old):
@@ -263,8 +238,27 @@ class BoundedWarrowCombine(Combine):
             return result
         if self._mode.get(x) == "narrow":
             self._switches[x] = self._switches.get(x, 0) + 1
-        self._mode[x] = "widen"
-        return self.lattice.widen(old, new)
+        self._mode[x] = self.label
+        return self._grow(old, new)
+
+
+class BoundedJoinNarrowCombine(BoundedWarrowCombine):
+    """Join on growth; narrow on shrink, frozen after ``bound`` switches.
+
+    The non-accelerated member of the selective widening-point operator
+    (:func:`~repro.solvers.wpoints.selective_warrow_combine`): values grow
+    by plain join -- so no precision is lost at harmless merge points --
+    but may still shrink when an accelerated neighbour narrows.
+    Unrestricted, that combination re-creates the oscillations of the
+    paper's Examples 1--2 through the non-points, so the Section 4
+    safeguard applies: after ``bound`` narrow-to-grow switches per
+    unknown, narrowing is given up and only bounded join growth remains.
+    """
+
+    growth, label = "join", "grow"
+
+    def __init__(self, lattice: Lattice, bound: int = 3) -> None:
+        super().__init__(lattice, k=bound)
 
 
 class BoundedNarrowCombine(Combine):
@@ -280,24 +274,13 @@ class BoundedNarrowCombine(Combine):
     where termination needs no monotonicity at all.
     """
 
+    parts = {"descents": "_descents"}
+
     def __init__(self, lattice: Lattice, cap: int = 0) -> None:
         if cap < 0:
             raise ValueError("narrow cap must be non-negative")
-        self.lattice = lattice
+        super().__init__(lattice)
         self.cap = cap
-        self._descents: Dict[Hashable, int] = {}
-
-    def reset(self) -> None:
-        self._descents.clear()
-
-    def _clone(self) -> "BoundedNarrowCombine":
-        return type(self)(self.lattice, self.cap)
-
-    def state_parts(self):
-        return {"descents": dict(self._descents)}
-
-    def load_state_parts(self, parts) -> None:
-        self._descents = dict(parts.get("descents", {}))
 
     def __call__(self, x, old, new):
         if self.lattice.leq(new, old):
@@ -310,54 +293,42 @@ class BoundedNarrowCombine(Combine):
         return self.lattice.widen(old, new)
 
 
-class BoundedJoinNarrowCombine(Combine):
-    """Join on growth; narrow on shrink, frozen after ``bound`` switches.
+class PerVariableCombine(Combine):
+    """Route each unknown to a named member operator via a chooser.
 
-    The non-accelerated member of the selective widening-point operator
-    (:class:`~repro.solvers.wpoints.SelectiveWarrowCombine`): values grow
-    by plain join -- so no precision is lost at harmless merge points --
-    but may still shrink when an accelerated neighbour narrows.
-    Unrestricted, that combination re-creates the oscillations of the
-    paper's Examples 1--2 through the non-points, so the Section 4
-    safeguard applies: after ``bound`` narrow-to-grow switches per
-    unknown, narrowing is given up and only bounded join growth remains.
+    Goblint's ``solverBox.ml`` chooses the box operator per solve *and
+    per variable*.  This is the one router behind every such map here:
+    ⌴ at widening points and join elsewhere
+    (:mod:`repro.solvers.wpoints`, the ``wpoint`` strategy), and the
+    supervisor's escalation of oscillating unknowns to a degraded
+    operator (:mod:`repro.supervise.escalate`).  Member state stays per
+    member, so the router composes with any stateful operator.
+
+    :param chooser: maps an unknown to a member label; unlisted labels
+        fall back to ``default``.
+    :param members: label -> member operator.
+    :param default: the label used for unknowns whose chosen label is
+        not in ``members``.
     """
 
-    def __init__(self, lattice: Lattice, bound: int = 3) -> None:
-        if bound < 0:
-            raise ValueError("switch bound must be non-negative")
-        self.lattice = lattice
-        self.bound = bound
-        self._switches: Dict[Hashable, int] = {}
-        self._mode: Dict[Hashable, str] = {}
-
-    def reset(self) -> None:
-        self._switches.clear()
-        self._mode.clear()
-
-    def _clone(self) -> "BoundedJoinNarrowCombine":
-        return type(self)(self.lattice, self.bound)
-
-    def state_parts(self):
-        return {"switches": dict(self._switches), "mode": dict(self._mode)}
-
-    def load_state_parts(self, parts) -> None:
-        self._switches = dict(parts.get("switches", {}))
-        self._mode = dict(parts.get("mode", {}))
+    def __init__(
+        self,
+        chooser: Callable[[Hashable], str],
+        members: Dict[str, Combine],
+        default: str,
+    ) -> None:
+        if default not in members:
+            raise ValueError(f"default label {default!r} not in members")
+        super().__init__()
+        self.chooser = chooser
+        self.members = dict(members)
+        self.default = default
 
     def __call__(self, x, old, new):
-        if self.lattice.leq(new, old):
-            if self._switches.get(x, 0) >= self.bound:
-                return old
-            result = self.lattice.narrow(old, new)
-            # Stable re-evaluations must not arm the detector.
-            if not self.lattice.equal(result, old):
-                self._mode[x] = "narrow"
-            return result
-        if self._mode.get(x) == "narrow":
-            self._switches[x] = self._switches.get(x, 0) + 1
-        self._mode[x] = "grow"
-        return self.lattice.join(old, new)
+        member = self.members.get(self.chooser(x))
+        if member is None:
+            member = self.members[self.default]
+        return member(x, old, new)
 
 
 def warrow(lattice: Lattice, a, b):

@@ -106,7 +106,6 @@ class SolverEngine:
         self.max_evals = max_evals
         self.memo: Optional[MemoCache] = MemoCache() if memoize else None
         if self.op is not None:
-            self.op.reset()
             if self.op.spec is not None:
                 self.stats.strategy = str(self.op.spec)
         self.bus.emit_start(self)

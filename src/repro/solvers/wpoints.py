@@ -9,16 +9,26 @@ must pass through an accelerated unknown.
 
 The paper notes that its approach is "complementary to such techniques
 and can, possibly, be combined with these"; this module is exactly that
-combination: :class:`SelectiveCombine` applies the combined operator at
-the widening points and join elsewhere.
+combination.  Its builders are maps of the one per-unknown router,
+:class:`~repro.solvers.combine.PerVariableCombine`:
+:func:`selective_combine` applies the combined operator at the widening
+points and join elsewhere, and :func:`widening_point_combine` does the
+same for the interprocedural analysis (the ``wpoint`` strategy).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, List, Set
+from typing import Callable, FrozenSet, Hashable, Iterable, List, Set
 
 from repro.lattices.base import Lattice
-from repro.solvers.combine import Combine, JoinCombine, WarrowCombine
+from repro.solvers.combine import (
+    BoundedJoinNarrowCombine,
+    BoundedWarrowCombine,
+    Combine,
+    JoinCombine,
+    PerVariableCombine,
+    WarrowCombine,
+)
 
 
 def widening_points(
@@ -62,61 +72,62 @@ def widening_points(
     return points
 
 
-class SelectiveCombine(Combine):
+def node_widening_points(cfg) -> FrozenSet:
+    """Loop-head nodes of every function in ``cfg``.
+
+    Computed as the back-edge targets of a DFS over each function's
+    successor graph -- the node-level projection of the unknown-level
+    :func:`widening_points` (a ``PP`` unknown is a (function, context,
+    node) triple; contexts are discovered dynamically, so the points are
+    selected at node granularity).
+    """
+    points = set()
+    for fn in cfg.functions.values():
+        succs = {node: [] for node in fn.nodes}
+        for edge in fn.edges:
+            succs[edge.src].append(edge.dst)
+        points.update(widening_points([fn.entry], lambda n: succs.get(n, ())))
+    return frozenset(points)
+
+
+def selective_combine(
+    lattice: Lattice,
+    points: Iterable[Hashable],
+    accelerated: Combine = None,
+    otherwise: Combine = None,
+) -> PerVariableCombine:
     """Accelerate at selected unknowns only; plain join elsewhere.
 
     For monotone systems whose every dependency cycle passes through a
     selected unknown, termination of the structured solvers is preserved:
     between two accelerated updates, the join-combined unknowns can only
     re-evaluate finitely often.
+
+    :param points: the unknowns to accelerate (e.g. from
+        :func:`widening_points`).
+    :param accelerated: operator at the points (default: the combined
+        operator).
+    :param otherwise: operator elsewhere (default: join).
     """
-
-    def __init__(
-        self,
-        lattice: Lattice,
-        points: Set[Hashable],
-        accelerated: Combine = None,
-        otherwise: Combine = None,
-    ) -> None:
-        """Create the selective operator.
-
-        :param points: the unknowns to accelerate (e.g. from
-            :func:`widening_points`).
-        :param accelerated: operator at the points (default: the combined
-            operator).
-        :param otherwise: operator elsewhere (default: join).
-        """
-        self.lattice = lattice
-        self.points = set(points)
-        self.accelerated = (
-            accelerated if accelerated is not None else WarrowCombine(lattice)
-        )
-        self.otherwise = (
-            otherwise if otherwise is not None else JoinCombine(lattice)
-        )
-
-    def reset(self) -> None:
-        self.accelerated.reset()
-        self.otherwise.reset()
-
-    def _clone(self) -> "SelectiveCombine":
-        return SelectiveCombine(
-            self.lattice,
-            self.points,
-            accelerated=self.accelerated.fresh(),
-            otherwise=self.otherwise.fresh(),
-        )
-
-    def children(self):
-        return {"accelerated": self.accelerated, "otherwise": self.otherwise}
-
-    def __call__(self, x, old, new):
-        if x in self.points:
-            return self.accelerated(x, old, new)
-        return self.otherwise(x, old, new)
+    points = frozenset(points)
+    return PerVariableCombine(
+        lambda x: "accelerated" if x in points else "otherwise",
+        {
+            "accelerated": (
+                accelerated if accelerated is not None else WarrowCombine(lattice)
+            ),
+            "otherwise": otherwise if otherwise is not None else JoinCombine(lattice),
+        },
+        default="otherwise",
+    )
 
 
-class SelectiveWarrowCombine(SelectiveCombine):
+def selective_warrow_combine(
+    lattice: Lattice,
+    points: Iterable[Hashable],
+    delay: int = 0,
+    switch_bound: int = 3,
+) -> PerVariableCombine:
     """Combined operator at widening points, join-or-narrow elsewhere.
 
     Plain join at non-points would freeze over-approximations that flow in
@@ -133,34 +144,43 @@ class SelectiveWarrowCombine(SelectiveCombine):
     after ``switch_bound`` narrow-to-grow switches per unknown, narrowing
     is given up, leaving only bounded join/widening growth.
     """
+    accelerated: Combine
+    if delay:
+        accelerated = WarrowCombine(lattice, delay=delay)
+    else:
+        accelerated = BoundedWarrowCombine(lattice, k=switch_bound)
+    return selective_combine(
+        lattice,
+        points,
+        accelerated,
+        BoundedJoinNarrowCombine(lattice, bound=switch_bound),
+    )
 
-    def __init__(
-        self,
-        lattice: Lattice,
-        points: Set[Hashable],
-        delay: int = 0,
-        switch_bound: int = 3,
-    ) -> None:
-        from repro.solvers.combine import (
-            BoundedJoinNarrowCombine,
-            BoundedWarrowCombine,
-        )
 
-        self.delay = delay
-        self.switch_bound = switch_bound
-        accelerated: Combine
-        if delay:
-            accelerated = WarrowCombine(lattice, delay=delay)
-        else:
-            accelerated = BoundedWarrowCombine(lattice, k=switch_bound)
-        super().__init__(
-            lattice,
-            points,
-            accelerated=accelerated,
-            otherwise=BoundedJoinNarrowCombine(lattice, bound=switch_bound),
-        )
+def widening_point_combine(
+    lattice, cfg, *, delay: int = 0, switch_bound: int = 3
+) -> PerVariableCombine:
+    """The classic per-variable map: ⌴ at widening points, join elsewhere.
 
-    def _clone(self) -> "SelectiveWarrowCombine":
-        return type(self)(
-            self.lattice, self.points, self.delay, self.switch_bound
-        )
+    Program points whose CFG node heads a loop -- and every non-point
+    unknown (flow-insensitive globals, which close the interprocedural
+    cycles) -- get the combined operator; the remaining program points
+    get the bounded join-or-narrow variant, which keeps the Section 4
+    termination guarantee on non-monotonic systems.
+    """
+    points = node_widening_points(cfg)
+
+    def chooser(x) -> str:
+        node = getattr(x, "node", None)
+        if node is None or node in points:
+            return "accelerated"
+        return "rest"
+
+    return PerVariableCombine(
+        chooser,
+        {
+            "accelerated": WarrowCombine(lattice, delay=delay),
+            "rest": BoundedJoinNarrowCombine(lattice, bound=switch_bound),
+        },
+        default="rest",
+    )

@@ -1,24 +1,24 @@
 """Pluggable combine strategies: the registry behind ``--op <spec>``.
 
-The subsystem has four parts:
+The subsystem has three parts:
 
 * :mod:`repro.strategies.spec` -- the ``name[:key=value,...]`` spec
   codec (:func:`parse_spec` / :func:`format_spec`);
 * :mod:`repro.strategies.registry` -- the catalog of named strategies
   and the :func:`build_combine` factory every layer calls;
-* :mod:`repro.strategies.pervar` -- per-variable strategy maps (⌴ at
-  widening points, join elsewhere: the Goblint idiom);
 * :mod:`repro.strategies.state` -- deterministic export/import of
   stateful operators for warm starts and checkpoint resume.
+
+The per-variable router (:class:`PerVariableCombine`, ⌴ at widening
+points and join elsewhere: the Goblint idiom) and the ``wpoint`` map
+live with the other operators, in :mod:`repro.solvers.combine` and
+:mod:`repro.solvers.wpoints`, and are re-exported here.
 
 See ``docs/strategies.md`` for the strategy catalog and spec grammar.
 """
 
-from repro.strategies.pervar import (
-    PerVariableCombine,
-    node_widening_points,
-    widening_point_combine,
-)
+from repro.solvers.combine import PerVariableCombine
+from repro.solvers.wpoints import node_widening_points, widening_point_combine
 from repro.strategies.registry import (
     BuildContext,
     EscalationRung,
@@ -29,10 +29,8 @@ from repro.strategies.registry import (
     canonical_spec,
     escalation_ladder,
     get_strategy,
-    is_phased,
     register_strategy,
     resolve_spec,
-    spec_needs_thresholds,
     strategy_listing,
     strategy_names,
 )
@@ -60,12 +58,10 @@ __all__ = [
     "format_spec",
     "get_strategy",
     "import_combine_state",
-    "is_phased",
     "node_widening_points",
     "parse_spec",
     "register_strategy",
     "resolve_spec",
-    "spec_needs_thresholds",
     "strategy_listing",
     "strategy_names",
     "widening_point_combine",

@@ -54,7 +54,7 @@ from repro.solvers.combine import (
     WarrowCombine,
     WidenCombine,
 )
-from repro.strategies.pervar import widening_point_combine
+from repro.solvers.wpoints import widening_point_combine
 from repro.strategies.spec import (
     SpecError,
     StrategySpec,
@@ -204,19 +204,6 @@ def canonical_spec(
 ) -> str:
     """The fully-resolved canonical string form of ``spec``."""
     return format_spec(resolve_spec(spec, widen_delay=widen_delay))
-
-
-def is_phased(spec: Union[str, StrategySpec]) -> bool:
-    """Whether ``spec`` names a phased (two-pass) strategy."""
-    return get_strategy(parse_spec(spec).name).kind == "phased"
-
-
-def spec_needs_thresholds(spec: Union[str, StrategySpec]) -> bool:
-    """Whether ``spec`` wants program-derived widening thresholds."""
-    try:
-        return get_strategy(parse_spec(spec).name).needs_thresholds
-    except (SpecError, UnknownStrategyError):
-        return False
 
 
 def build_combine(

@@ -25,7 +25,7 @@ from repro.supervise.chaos import (
     fail_on_eval,
 )
 from repro.supervise.checkpoint import Checkpointer, load_checkpoint
-from repro.supervise.escalate import EscalatingCombine, escalation_targets
+from repro.supervise.escalate import escalation_router, escalation_targets
 from repro.supervise.report import Attempt, Degradation, SupervisionReport
 from repro.supervise.run import supervised_solve
 from repro.supervise.watchdog import (
@@ -51,7 +51,6 @@ __all__ = [
     "DeadlineWatchdog",
     "Degradation",
     "EngineProbe",
-    "EscalatingCombine",
     "FaultEvent",
     "FaultSpec",
     "InjectedFault",
@@ -62,6 +61,7 @@ __all__ = [
     "Watchdog",
     "WatchdogError",
     "check_engine_invariants",
+    "escalation_router",
     "escalation_targets",
     "fail_on_eval",
     "load_checkpoint",

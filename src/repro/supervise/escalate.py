@@ -3,18 +3,19 @@
 When a watchdog trips, throwing the whole run away is the worst answer:
 typically only a few unknowns oscillate (the flip-flop mode of
 non-monotonic systems, end of the paper's Section 4) while the rest of
-the system is fine.  :class:`EscalatingCombine` degrades *selectively*:
+the system is fine.  :func:`escalation_router` degrades *selectively*:
 unescalated unknowns keep the caller's operator (usually the paper's ⌴),
 while escalated unknowns are routed to a *degraded* member strategy.
 
 The degraded member comes from the strategy registry's escalation
-ladder (:func:`repro.strategies.registry.escalation_ladder`): by default
-:class:`~repro.solvers.combine.BoundedNarrowCombine` -- at most
-``descent_cap`` improving narrow steps, after which the value can only
-grow by widening and hence stabilises.  With ``descent_cap=0`` an
-escalated unknown is on pure widening (⌴ → ▽): ascending-only iteration,
-the paper's Theorem 1/2 regime where termination needs no monotonicity
-beyond the widening's own guarantee.
+ladder (:func:`repro.strategies.registry.escalation_ladder`):
+``bounded-narrow:cap=N``, that is
+:class:`~repro.solvers.combine.BoundedNarrowCombine` -- at most ``N``
+improving narrow steps, after which the value can only grow by widening
+and hence stabilises.  With ``cap=0`` an escalated unknown is on pure
+widening (⌴ → ▽): ascending-only iteration, the paper's Theorem 1/2
+regime where termination needs no monotonicity beyond the widening's
+own guarantee.
 
 Escalation preserves soundness: in the capped branch the new
 contribution satisfies ``b <= a``, so returning ``a`` keeps
@@ -27,95 +28,24 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional, Set
 
-from repro.lattices.base import Lattice
-from repro.solvers.combine import BoundedNarrowCombine, Combine
+from repro.solvers.combine import Combine, PerVariableCombine
 
 
-class EscalatingCombine(Combine):
-    """Wraps a base operator, degrading the escalated unknowns.
+def escalation_router(
+    base: Combine, escalated: Iterable[Hashable], degraded: Combine
+) -> PerVariableCombine:
+    """``degraded`` for the ``escalated`` unknowns, ``base`` for the rest.
 
-    The escalated set is owned by the instance and can grow between
-    attempts (the supervisor's ladder adds the unknowns each trip
-    flagged); :meth:`reset` clears the per-unknown descent counters but
-    deliberately *keeps* the escalated set -- that is accumulated
-    diagnosis, not per-run state.
-
-    :param degraded: the strategy escalated unknowns switch to; defaults
-        to :class:`~repro.solvers.combine.BoundedNarrowCombine` with the
-        given ``descent_cap`` (the registry's ``bounded-narrow`` rung).
+    The member labels ``base`` and ``degraded`` name the two parts of a
+    supervised run's combine snapshot.  The escalated set is copied: the
+    supervisor builds a new router for each rung it walks.
     """
-
-    def __init__(
-        self,
-        lattice: Lattice,
-        base: Combine,
-        escalated: Iterable[Hashable] = (),
-        descent_cap: int = 0,
-        degraded: Optional[Combine] = None,
-    ) -> None:
-        if descent_cap < 0:
-            raise ValueError("descent_cap must be non-negative")
-        self.lattice = lattice
-        self.base = base
-        self.escalated: Set[Hashable] = set(escalated)
-        self._descent_cap = descent_cap
-        self.degraded: Combine = (
-            degraded
-            if degraded is not None
-            else BoundedNarrowCombine(lattice, cap=descent_cap)
-        )
-
-    @property
-    def descent_cap(self) -> int:
-        return self._descent_cap
-
-    @descent_cap.setter
-    def descent_cap(self, cap: int) -> None:
-        """Tighten the cap: rebuilds the default degraded member.
-
-        The supervisor's final rung sets ``descent_cap = 0`` (pure
-        widening for everything escalated); rebuilding drops the
-        already-spent descent counters, which only *forbids* further
-        descents -- monotone in the degradation direction.
-        """
-        if cap < 0:
-            raise ValueError("descent_cap must be non-negative")
-        self._descent_cap = cap
-        self.degraded = BoundedNarrowCombine(self.lattice, cap=cap)
-
-    def set_degraded(self, degraded: Combine) -> None:
-        """Replace the degraded member (the next ladder rung).
-
-        Keeps ``descent_cap`` in sync when the new member exposes a
-        ``cap`` (the registry's ``bounded-narrow`` strategies do).
-        """
-        self.degraded = degraded
-        self._descent_cap = getattr(degraded, "cap", self._descent_cap)
-
-    def reset(self) -> None:
-        self.base.reset()
-        self.degraded.reset()
-
-    def _clone(self) -> "EscalatingCombine":
-        return EscalatingCombine(
-            self.lattice,
-            self.base.fresh(),
-            escalated=self.escalated,
-            descent_cap=self._descent_cap,
-            degraded=self.degraded.fresh(),
-        )
-
-    def children(self) -> Dict[str, Combine]:
-        return {"base": self.base, "degraded": self.degraded}
-
-    def escalate(self, unknowns: Iterable[Hashable]) -> None:
-        """Add ``unknowns`` to the escalated set."""
-        self.escalated.update(unknowns)
-
-    def __call__(self, x, old, new):
-        if x not in self.escalated:
-            return self.base(x, old, new)
-        return self.degraded(x, old, new)
+    escalated = frozenset(escalated)
+    return PerVariableCombine(
+        lambda x: "degraded" if x in escalated else "base",
+        {"base": base, "degraded": degraded},
+        default="base",
+    )
 
 
 def escalation_targets(

@@ -31,7 +31,7 @@ even an injected chaos fault can smuggle an unsound value through.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence, Set
 
 from repro.eqs.side import SideEffectingSystem
 from repro.incremental.analysis import (
@@ -50,18 +50,13 @@ from repro.supervise.chaos import (
 )
 from repro.supervise.checkpoint import Checkpointer
 from repro.strategies.registry import build_combine, escalation_ladder
-from repro.supervise.escalate import EscalatingCombine, escalation_targets
+from repro.supervise.escalate import escalation_router, escalation_targets
 from repro.supervise.report import Attempt, Degradation, SupervisionReport
 from repro.supervise.watchdog import (
     DeadlineWatchdog,
     EngineProbe,
     OscillationWatchdog,
 )
-
-#: Escalation rungs per solver: targeted bounded-narrowing, then
-#: everything-to-pure-widening.
-_MAX_ESCALATIONS = 2
-
 
 def _compatible(spec: SolverSpec, system, x0, side_effecting: bool) -> Optional[str]:
     """Why ``spec`` cannot run on this workload, or ``None`` if it can."""
@@ -161,22 +156,20 @@ def supervised_solve(
             cascade.append(spec.name)
 
     state: Optional[SolverState] = None
-    max_attempts = (
-        len(cascade) * (1 + (_MAX_ESCALATIONS if escalate else 0))
-        + fault_retries
-        + 1
-    )
+    ladder = escalation_ladder(descent_cap)
+    rungs = len(ladder) if escalate else 0
+    max_attempts = len(cascade) * (1 + rungs) + fault_retries + 1
 
     rung = 0
-    ladder = escalation_ladder(descent_cap)
-    esc: Optional[EscalatingCombine] = None
+    escalated: Set[Hashable] = set()
+    esc: Optional[Combine] = None
     faults_left = fault_retries
     spec = primary
     cascade_pos = 0
 
     def advance_cascade() -> Optional[SolverSpec]:
         """The next compatible fallback solver, recording skips."""
-        nonlocal cascade_pos, rung, esc, state, faults_left
+        nonlocal cascade_pos, rung, escalated, esc, state, faults_left
         while cascade_pos + 1 < len(cascade):
             cascade_pos += 1
             candidate = get_solver(cascade[cascade_pos])
@@ -191,6 +184,7 @@ def supervised_solve(
                 # Fresh ladder for the new solver; its checkpoints are
                 # not interchangeable with the previous solver's.
                 rung = 0
+                escalated = set()
                 esc = None
                 state = None
                 return candidate
@@ -255,40 +249,33 @@ def supervised_solve(
                 report.checkpoints_written += checkpointer.written
                 if checkpointer.latest is not None:
                     state = checkpointer.latest
-            if escalate and spec.takes_op and rung < _MAX_ESCALATIONS:
+            if spec.takes_op and rung < rungs:
                 # Walk the strategy registry's escalation ladder: each
                 # rung names the registered degraded strategy and the
                 # scope of unknowns that switch to it.
                 step = ladder[rung]
                 rung += 1
-                degraded = build_combine(step.spec, lattice)
                 if step.scope == "targeted":
                     targets = escalation_targets(
                         oscillation.flagged, err, oscillation.update_counts
                     )
-                    esc = EscalatingCombine(
-                        lattice, op, targets, descent_cap, degraded=degraded
-                    )
-                    report.degradations.append(
-                        Degradation(
-                            "escalate",
-                            f"{step.label} for {len(targets)} "
-                            f"oscillating unknowns [{step.spec}]",
-                            tuple(sorted(targets, key=repr)),
-                        )
-                    )
+                    scope = f"{len(targets)} oscillating unknowns"
+                    named = tuple(sorted(targets, key=repr))
                 else:
                     targets = set(err.sigma)
-                    esc.escalate(targets)
-                    esc.set_degraded(degraded)
-                    report.degradations.append(
-                        Degradation(
-                            "escalate",
-                            f"{step.label} for every encountered "
-                            f"unknown [{step.spec}]",
-                        )
+                    scope, named = "every encountered unknown", ()
+                escalated |= targets
+                esc = escalation_router(
+                    op, escalated, build_combine(step.spec, lattice)
+                )
+                report.degradations.append(
+                    Degradation(
+                        "escalate",
+                        f"{step.label} for {scope} [{step.spec}]",
+                        named,
                     )
-                report.escalated.update(esc.escalated)
+                )
+                report.escalated.update(escalated)
                 continue
             spec_next = advance_cascade()
             if spec_next is None:

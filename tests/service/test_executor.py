@@ -12,6 +12,7 @@ from repro.batch.jobs import (
     JobSpec,
     build_domain,
     build_policy,
+    execute_job,
     solution_fingerprint,
     spec_fingerprint,
 )
@@ -82,6 +83,24 @@ class TestColdPath:
         execution = execute_service_job(job(max_evals=3))
         assert execution.result.status == "divergence"
         assert execution.result.code == EXIT_DIVERGENCE
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    def test_non_positive_deadline_is_an_input_error(self, deadline):
+        spec = job(deadline=deadline)
+        execution = execute_service_job(spec)
+        assert execution.result.status == "input-error"
+        assert execution.result.code == EXIT_INPUT
+        assert execution.result.error == execute_job(spec).error
+        assert execution.state is None
+
+    def test_non_positive_deadline_with_a_donor_is_an_input_error(self):
+        cold = execute_service_job(job())
+        donor = (spec_fingerprint(job()), PROGRAM, cold.state)
+        execution = execute_service_job(
+            job(source=EDITED, deadline=0.0), [donor]
+        )
+        assert execution.result.status == "input-error"
+        assert execution.result.code == EXIT_INPUT
 
     def test_verify_folds_assertion_verdicts(self):
         violated = "int main() { int x = 1; assert(x == 2); return 0; }"

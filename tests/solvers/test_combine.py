@@ -108,11 +108,10 @@ class TestWarrowCombine:
         assert op("y", 0, 1) == 1  # y has its own budget
         assert op("x", 1, 2) == INF
 
-    def test_reset_clears_delay_state(self):
+    def test_fresh_clears_delay_state(self):
         op = WarrowCombine(nat, delay=1)
         assert op("x", 0, 1) == 1
-        op.reset()
-        assert op("x", 1, 2) == 2
+        assert op.fresh()("x", 1, 2) == 2
 
     def test_shrinking_never_consumes_delay(self):
         op = WarrowCombine(nat, delay=1)

@@ -11,9 +11,9 @@ from repro.lang import compile_program
 from repro.lattices import NatInf
 from repro.lattices.interval import Interval, POS_INF, const
 from repro.solvers import (
-    SelectiveCombine,
-    SelectiveWarrowCombine,
     WarrowCombine,
+    selective_combine,
+    selective_warrow_combine,
     solve_sw,
     widening_points,
 )
@@ -70,18 +70,19 @@ class TestWideningPoints:
 
 class TestSelectiveCombine:
     def test_dispatch(self):
-        op = SelectiveCombine(nat, points={"w"})
+        op = selective_combine(nat, points={"w"})
         # At the point: widening jumps to infinity.
         assert op("w", 3, 5) == float("inf")
         # Elsewhere: plain join.
         assert op("x", 3, 5) == 5
 
-    def test_reset_propagates(self):
+    def test_fresh_restores_member_budgets(self):
         inner = WarrowCombine(nat, delay=1)
-        op = SelectiveCombine(nat, points={"w"}, accelerated=inner)
+        op = selective_combine(nat, points={"w"}, accelerated=inner)
         assert op("w", 0, 1) == 1  # delayed: join
-        op.reset()
-        assert op("w", 0, 1) == 1  # budget restored
+        clone = op.fresh()
+        assert clone("w", 0, 1) == 1  # budget restored in the clone
+        assert op("w", 1, 2) == float("inf")  # the original's is spent
 
 
 class TestPrecisionOnPrograms:
@@ -108,7 +109,7 @@ class TestPrecisionOnPrograms:
         everywhere = solve_sw(system, WarrowCombine(env_lat), order=order)
         selective = solve_sw(
             system,
-            SelectiveWarrowCombine(env_lat, points),
+            selective_warrow_combine(env_lat, points),
             order=order,
             max_evals=500_000,
         )
@@ -120,7 +121,7 @@ class TestPrecisionOnPrograms:
         points = widening_points(list(system.unknowns), system.deps)
         selective = solve_sw(
             system,
-            SelectiveWarrowCombine(env_lat, points),
+            selective_warrow_combine(env_lat, points),
             order=self.order_of(system, fn),
             max_evals=500_000,
         )
@@ -140,13 +141,13 @@ class TestPrecisionOnPrograms:
         wto = weak_topological_order(list(system.unknowns), system.deps)
         heads_first = solve_sw(
             system,
-            SelectiveWarrowCombine(env_lat, points),
+            selective_warrow_combine(env_lat, points),
             order=wto,
             max_evals=500_000,
         )
         deepest_first = solve_sw(
             system,
-            SelectiveWarrowCombine(env_lat, points),
+            selective_warrow_combine(env_lat, points),
             order=self.order_of(system, fn),
             max_evals=500_000,
         )
@@ -163,7 +164,7 @@ class TestTermination:
         points = widening_points(list(system.unknowns), system.deps)
         result = solve_sw(
             system,
-            SelectiveWarrowCombine(nat, points),
+            selective_warrow_combine(nat, points),
             max_evals=500_000,
         )
         # Post-solution property still holds.

@@ -22,9 +22,7 @@ from repro.strategies import (
     canonical_spec,
     escalation_ladder,
     get_strategy,
-    is_phased,
     resolve_spec,
-    spec_needs_thresholds,
     strategy_listing,
     strategy_names,
 )
@@ -121,16 +119,6 @@ class TestResolve:
     def test_unknown_param_rejected(self):
         with pytest.raises(SpecError):
             resolve_spec("warrow:cap=1")
-
-    def test_is_phased(self):
-        assert is_phased("twophase")
-        assert is_phased("decoupled")
-        assert not is_phased("warrow:delay=1")
-
-    def test_spec_needs_thresholds(self):
-        assert spec_needs_thresholds("threshold-widen")
-        assert not spec_needs_thresholds("warrow")
-        assert not spec_needs_thresholds("not-a-strategy")
 
 
 class TestBuild:

@@ -12,8 +12,9 @@ from repro.lang import compile_program
 from repro.lattices import NatInf
 from repro.solvers import WarrowCombine
 from repro.solvers.registry import SolverCapabilityError
+from repro.strategies import build_combine, escalation_ladder
 from repro.supervise import (
-    EscalatingCombine,
+    escalation_router,
     escalation_targets,
     fail_on_eval,
     supervised_solve,
@@ -85,7 +86,8 @@ class TestEscalation:
 
     def test_escalating_combine_caps_descents(self):
         base = WarrowCombine(nat)
-        esc = EscalatingCombine(nat, base, escalated={"x"}, descent_cap=0)
+        pure_widening = build_combine(escalation_ladder()[-1].spec, nat)
+        esc = escalation_router(base, {"x"}, pure_widening)
         grown = esc("x", 0, 5)  # growth: widen
         assert grown == nat.widen(0, 5)
         assert esc("x", grown, 3) == grown  # shrink capped: keep old

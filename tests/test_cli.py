@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -145,6 +147,26 @@ class TestSolve:
         assert main(["solve", loop_file, "--max-evals", "2", "--no-escalate"]) == 3
         assert "FAILED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("solver", ["wl", "slr", "rld", "tdr"])
+    def test_unusable_local_solver_is_an_input_error(
+        self, loop_file, solver, capsys
+    ):
+        assert main(["solve", loop_file, "--local-solver", solver]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_fallback_does_not_mask_an_unusable_local_solver(
+        self, loop_file, capsys
+    ):
+        argv = ["solve", loop_file, "--local-solver", "wl", "--fallback", "slr+"]
+        assert main(argv) == 2
+
+    @pytest.mark.parametrize("solver", ["slr2", "slr3"])
+    def test_solves_with_the_requested_local_solver(
+        self, loop_file, solver, capsys
+    ):
+        assert main(["solve", loop_file, "--local-solver", solver]) == 0
+        assert f"attempt: {solver}" in capsys.readouterr().out
+
     def test_divergence_exit_code_is_three(self, loop_file, capsys):
         """Satellite: divergence (3) is distinguishable from input
         errors (2) across the whole CLI."""
@@ -236,6 +258,26 @@ class TestIncr:
         assert main(["incr", program_file, edited_file, "--no-compare"]) == 0
         out = capsys.readouterr().out
         assert "from-scratch" not in out
+
+    @pytest.mark.parametrize("solver", ["slr+", "slr2", "slr3"])
+    def test_incr_captures_and_resumes_the_requested_solver(
+        self, program_file, edited_file, tmp_path, solver, capsys
+    ):
+        state_file = tmp_path / "state.json"
+        argv = [
+            "incr", program_file, edited_file, "--no-compare",
+            "--local-solver", solver, "--state-file", str(state_file),
+        ]
+        assert main(argv) == 0
+        assert json.loads(state_file.read_text())["solver"] == solver
+
+    @pytest.mark.parametrize("solver", ["wl", "slr"])
+    def test_incr_rejects_an_unusable_local_solver(
+        self, program_file, edited_file, solver, capsys
+    ):
+        argv = ["incr", program_file, edited_file, "--local-solver", solver]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_incr_identical_versions(self, program_file, capsys):
         assert main(["incr", program_file, program_file, "--no-compare"]) == 0
