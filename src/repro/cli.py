@@ -947,6 +947,26 @@ def cmd_service_shutdown(args) -> int:
 # Argument parsing.                                                     #
 # --------------------------------------------------------------------- #
 
+def _bounded(parse, minimum, strict: bool):
+    """An argparse type: ``parse`` the value, then require it to be at
+    least (``strict``: above) ``minimum``, so a bad value is an input
+    error reported before any solving."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not (value > minimum if strict else value >= minimum):
+            bound = "greater than" if strict else "at least"
+            raise argparse.ArgumentTypeError(
+                f"must be {bound} {minimum}, got {text!r}"
+            )
+        return value
+
+    return check
+
+
 def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("file", help="mini-C source file")
     parser.add_argument(
@@ -1072,13 +1092,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_analysis_options(p_solve)
     p_solve.add_argument(
         "--deadline",
-        type=float,
+        type=_bounded(float, 0, strict=True),
         default=None,
         help="per-attempt wall-clock deadline in seconds",
     )
     p_solve.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_bounded(int, 1, strict=False),
         default=None,
         help="take a resumable snapshot every N evaluations",
     )
@@ -1096,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--descent-cap",
-        type=int,
+        type=_bounded(int, 0, strict=False),
         default=1,
         help="narrowing steps an escalated unknown may still take",
     )

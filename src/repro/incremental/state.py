@@ -330,9 +330,8 @@ def capture_engine(
     * unknowns whose evaluation is currently *in flight* are removed from
       the stability set: their pending evaluation never committed, so a
       resumed run must re-solve them;
-    * strategy-private state that lives outside the engine (SLR+'s
-      contribution maps) is read from ``engine.aux``, where the solver
-      registers it;
+    * the SLR loop's state -- contributions, widening points and
+      accumulated targets -- is read from the engine's records;
     * with ``include_combine`` the update operator's own per-unknown
       state (widening delays, ⌴ₖ budgets) is snapshotted from
       ``engine.op`` into :attr:`SolverState.combine` -- opt-in, so
@@ -344,28 +343,26 @@ def capture_engine(
     resumed run still starts from the snapshotted ``sigma`` instead of
     bottom.
     """
-    aux = getattr(engine, "aux", {})
     stable = set(engine.stable)
-    stable.difference_update(getattr(engine, "inflight", ()))
-    # Localized solvers (SLR2/SLR3) register their dynamically detected
-    # widening points in ``aux``; fall back to them when the caller does
-    # not pass a wpoint set of its own.
+    stable.difference_update(engine.inflight)
+    contribs, contributors = engine.contributions()
+    # Localized solvers (SLR2/SLR3, TDR) flag their dynamically detected
+    # widening points; fall back to them when the caller does not pass a
+    # wpoint set of its own.
     if not wpoints:
-        wpoints = aux.get("wpoints", frozenset())
+        wpoints = engine.flagged("wpoint")
     return SolverState(
         solver=solver,
-        sigma=dict(engine.sigma),
-        infl={x: set(s) for x, s in engine.infl.items()},
-        keys=dict(engine.keys),
-        dom=set(engine.dom) if engine.dom else set(engine.sigma),
+        sigma=engine.sigma.copy(),
+        infl=engine.infl.copy(),
+        keys=engine.keys.copy(),
+        dom=set(engine.dom) or set(engine.sigma),
         stable=stable,
         counter=engine._counter,
         wpoints=set(wpoints),
-        contribs=dict(aux.get("contribs", {})),
-        contributors={
-            z: set(s) for z, s in aux.get("contributors", {}).items()
-        },
-        accumulated=set(aux.get("accumulated", ())),
+        contribs=contribs,
+        contributors=contributors,
+        accumulated=engine.flagged("accumulated"),
         combine=(
             _export_op(getattr(engine, "op", None))
             if include_combine

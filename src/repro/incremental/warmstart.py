@@ -5,8 +5,8 @@ The idea follows directly from the structure of the paper's local solvers
 and the recorded influence sets describe exactly who reads whom.  After an
 edit, therefore, it suffices to
 
-1. restore ``sigma``/``infl``/``keys``/``stable`` into a fresh
-   :class:`~repro.solvers.engine.SolverEngine`,
+1. restore ``sigma``/``infl``/``keys``/``stable`` into the records of a
+   fresh :class:`~repro.solvers.engine.SolverEngine`,
 2. *destabilize* the unknowns whose right-hand side changed (the *dirty*
    set) plus their transitive influence closure
    (:func:`influence_closure`), and
@@ -46,9 +46,10 @@ from repro.solvers._deepcall import call_with_deep_stack
 from repro.solvers.combine import Combine
 from repro.solvers.engine import SolverEngine
 from repro.solvers.registry import UnknownSolverError, get_solver, get_warm_start
-from repro.solvers.slr import LocalResult
+from repro.solvers.slr import LocalResult, local_result, slr_solver
 from repro.solvers.slr_side import SideResult, slr_loop
 from repro.solvers.stats import SolverResult
+from repro.solvers.sw import sw_iterate
 
 
 def influence_closure(
@@ -79,13 +80,24 @@ def influence_closure(
 
 
 def _restore_engine(eng: SolverEngine, state: SolverState) -> None:
-    """Load a snapshot into a freshly constructed engine."""
-    eng.sigma.update(state.sigma)
-    eng.dom.update(state.dom)
-    eng.keys.update(state.keys)
+    """Load a snapshot straight into a freshly constructed engine's
+    records, contributions included."""
+    records = eng.records
+    for x, value in state.sigma.items():
+        eng.load(x, value)
+    for x, key in state.keys.items():
+        records[x].key = key
     for x, influenced in state.infl.items():
-        eng.infl[x] = set(influenced)
-    eng.stable.update(state.stable)
+        records[x].infl = {records[y]: None for y in influenced}
+    for x in state.stable:
+        records[x].stable = True
+    for z in state.contributors:
+        records[z].contribs = {}
+    for (x, z), d in state.contribs.items():
+        target = records[z]
+        if target.contribs is None:
+            target.contribs = {}
+        target.contribs[records[x]] = d
     eng._counter = state.counter
 
 
@@ -152,15 +164,15 @@ def warm_solve_sw(
     op = eng.op  # the engine's per-run fresh instance
     xs = list(order) if order is not None else list(system.unknowns)
     key = {x: i for i, x in enumerate(xs)}
-    sigma = eng.sigma
+    records = eng.records
     fresh = set()
     for x in xs:
         if x in state.sigma:
-            sigma[x] = state.sigma[x]
+            eng.load(x, state.sigma[x])
         else:
-            sigma[x] = system.init(x)
+            eng.load(x, system.init(x))
             fresh.add(x)
-    eng.stats.unknowns = len(sigma)
+    eng.stats.unknowns = len(records)
     infl = system.infl()
     if closure == "transitive":
         seeds = influence_closure(
@@ -170,25 +182,13 @@ def warm_solve_sw(
         seeds = ({x for x in dirty if x in key} | fresh)
     if reset == "destabilized":
         for x in seeds:
-            sigma[x] = system.init(x)
+            records[x].value = system.init(x)
     queue = eng.make_queue(key.__getitem__)
     for x in sorted(seeds, key=key.__getitem__):
         queue.add(x)
-
-    def get(y):
-        return sigma[y]
-
-    while queue:
-        x = queue.extract_min()
-        old = sigma[x]
-        if eng.commit(x, op(x, old, eng.eval_rhs(x, get))):
-            work = infl.get(x, [x])
-            queue.add(x)
-            for z in work:
-                queue.add(z)
-            eng.bus.emit_destabilize(x, work)
-    eng.finish(unknowns=len(sigma))
-    return SolverResult(sigma, eng.stats)
+    sw_iterate(eng, op, queue, infl)
+    eng.finish(unknowns=len(records))
+    return SolverResult(eng.sigma.copy(), eng.stats)
 
 
 # --------------------------------------------------------------------- #
@@ -230,52 +230,30 @@ def warm_solve_slr(
     eng = SolverEngine(
         system, op, max_evals=max_evals, observers=observers, memoize=memoize
     )
-    op = eng.op  # the engine's per-run fresh instance
     _restore_engine(eng, state)
-    sigma, keys = eng.sigma, eng.keys
-    queue = eng.make_queue(lambda x: keys[x])
-
-    def solve(x) -> None:
-        if x in eng.stable:
-            return
-        eng.stable.add(x)
-        old = sigma[x]
-        tmp = op(x, old, eng.eval_rhs(x, eng.fresh_solving_eval(x, solve)))
-        if eng.commit(x, tmp):
-            eng.destabilize(x, queue)
-        while queue and queue.min_key() <= keys[x]:
-            solve(queue.extract_min())
-
+    records = eng.records
+    solve = slr_solver(eng)
     seeds = _seeds(state, dirty, closure)
-    eng.stable.difference_update(seeds)
-    if reset == "destabilized":
-        for x in seeds:
-            sigma[x] = system.init(x)
+    for x in seeds:
+        records[x].stable = False
+        if reset == "destabilized":
+            records[x].value = system.init(x)
 
     def run() -> None:
-        if x0 not in eng.dom:
-            eng.init_unknown(x0)
-        for x in seeds:
-            queue.add(x)
-        solve(x0)
-        while queue:
-            solve(queue.extract_min())
+        r0 = records.get(x0) or eng.init_unknown(x0)
+        eng.enqueue(records[x] for x in seeds)
+        solve(r0)
+        while eng.heap:
+            solve(eng.dequeue())
 
     call_with_deep_stack(run)
     eng.finish()
-    return LocalResult(sigma=sigma, stats=eng.stats, infl=eng.infl, keys=keys)
+    return local_result(eng)
 
 
 # --------------------------------------------------------------------- #
 # SLR+, SLR2 and SLR3.                                                  #
 # --------------------------------------------------------------------- #
-
-def _drop_contributions(contribs, contributors, origins) -> None:
-    """Forget every stored contribution whose origin is in ``origins``."""
-    for pair in [p for p in contribs if p[0] in origins]:
-        del contribs[pair]
-        contributors.get(pair[1], set()).discard(pair[0])
-
 
 def warm_solve_slr_side(
     system,
@@ -314,27 +292,25 @@ def warm_solve_slr_side(
     _check_reset(reset, closure)
     eng = SolverEngine(system, op, max_evals=max_evals, observers=observers)
     _restore_engine(eng, state)
-    contribs = dict(state.contribs)
-    contributors = {z: set(s) for z, s in state.contributors.items()}
-    _drop_contributions(contribs, contributors, {x for x in dirty if x in eng.dom})
+    records = eng.records
+    eng.drop_contributions({records[x] for x in dirty if x in eng.dom})
     seeds = _seeds(state, dirty, closure, state.contribs)
-    eng.stable.difference_update(seeds)
+    for x in seeds:
+        records[x].stable = False
     if reset == "destabilized":
         for x in seeds:
-            eng.sigma[x] = system.init(x)
+            records[x].value = system.init(x)
         # Every seed origin re-runs from its initial value and
         # re-establishes its side effects; its stored contributions are
         # stale by definition and would re-enter reset targets through
         # the join below.  Dropping them is sound because the transitive
         # closure also reset every target they fed.
-        _drop_contributions(contribs, contributors, seeds)
+        eng.drop_contributions({records[x] for x in seeds})
     return slr_loop(
         eng,
         x0,
         mode,
         track_contributions,
-        contribs=contribs,
-        contributors=contributors,
         accumulated=state.accumulated,
         wpoints=state.wpoints,
         seeds=seeds,

@@ -22,8 +22,11 @@ from repro.lattices.base import Lattice, LatticeError
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-#: Every ``int`` in this range converts to an (integral) float; bounds
-#: outside it still take the conversion, which may raise OverflowError.
+#: Every ``int`` in this range converts to an (integral) float.  An int
+#: bound outside it saturates: a lower bound to ``-oo`` or ``2**1023``, an
+#: upper bound to ``+oo`` or ``-2**1023``.  That only enlarges the
+#: interval, so it stays sound, and no finite bound ever leaves float
+#: range, so bound arithmetic against the infinities cannot overflow.
 _FLOAT_SAFE_MIN = -(2**1023)
 _FLOAT_SAFE_MAX = 2**1023
 
@@ -45,17 +48,23 @@ class Interval:
             raise LatticeError(f"empty interval [{lo}, {hi}]")
         # An exact int in float range is integral: skip the conversion.
         if (
-            (type(lo) is not int or not _FLOAT_SAFE_MIN <= lo <= _FLOAT_SAFE_MAX)
-            and lo != NEG_INF
-            and not float(lo).is_integer()
-        ):
-            raise LatticeError(f"non-integer lower bound {lo}")
+            type(lo) is not int or not _FLOAT_SAFE_MIN <= lo <= _FLOAT_SAFE_MAX
+        ) and lo != NEG_INF:
+            if type(lo) is int:
+                object.__setattr__(
+                    self, "lo", NEG_INF if lo < 0 else _FLOAT_SAFE_MAX
+                )
+            elif not float(lo).is_integer():
+                raise LatticeError(f"non-integer lower bound {lo}")
         if (
-            (type(hi) is not int or not _FLOAT_SAFE_MIN <= hi <= _FLOAT_SAFE_MAX)
-            and hi != POS_INF
-            and not float(hi).is_integer()
-        ):
-            raise LatticeError(f"non-integer upper bound {hi}")
+            type(hi) is not int or not _FLOAT_SAFE_MIN <= hi <= _FLOAT_SAFE_MAX
+        ) and hi != POS_INF:
+            if type(hi) is int:
+                object.__setattr__(
+                    self, "hi", POS_INF if hi > 0 else _FLOAT_SAFE_MIN
+                )
+            elif not float(hi).is_integer():
+                raise LatticeError(f"non-integer upper bound {hi}")
 
     def __repr__(self) -> str:
         lo = "-oo" if self.lo == NEG_INF else str(int(self.lo))
@@ -209,7 +218,13 @@ class IntervalLattice(Lattice[IntervalValue]):
     # ----------------------------------------------------------------- #
 
     def from_const(self, n: int) -> IntervalValue:
-        """Abstract a concrete integer."""
+        """Abstract a concrete integer.
+
+        A program's literal beyond float range is rejected with an
+        ``OverflowError``; only computed bounds saturate.
+        """
+        if not _FLOAT_SAFE_MIN <= n <= _FLOAT_SAFE_MAX:
+            raise OverflowError(f"integer {n} is beyond float range")
         return const(n)
 
     def add(self, a: IntervalValue, b: IntervalValue) -> IntervalValue:

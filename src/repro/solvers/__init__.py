@@ -55,7 +55,6 @@ from repro.solvers.engine import (
     RecordingObserver,
     SolverEngine,
     SolverObserver,
-    StatsObserver,
     TimingObserver,
 )
 from repro.solvers.improve import improve_post_solution
@@ -119,7 +118,6 @@ __all__ = [
     "RecordingObserver",
     "SolverEngine",
     "SolverObserver",
-    "StatsObserver",
     "TimingObserver",
     "SolverCapabilityError",
     "SolverSpec",

@@ -4,13 +4,12 @@ See :mod:`repro.solvers.engine.core` for the architecture overview and
 ``docs/engine.md`` for the user-facing tour.
 """
 
-from repro.solvers.engine.core import SolverEngine
+from repro.solvers.engine.core import Record, SolverEngine
 from repro.solvers.engine.events import (
     DivergenceMonitor,
     EventBus,
     RecordingObserver,
     SolverObserver,
-    StatsObserver,
     TimingObserver,
 )
 from repro.solvers.engine.memo import MISS, MemoCache
@@ -18,9 +17,9 @@ from repro.solvers.engine.worklist import ObservedWorklist, PriorityWorklist
 
 __all__ = [
     "SolverEngine",
+    "Record",
     "EventBus",
     "SolverObserver",
-    "StatsObserver",
     "RecordingObserver",
     "TimingObserver",
     "DivergenceMonitor",

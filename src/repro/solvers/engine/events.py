@@ -9,18 +9,14 @@ memoization cache) -- so tracing, timing, per-phase counters, watchdogs and
 divergence diagnostics are pluggable instead of being hard-coded into
 every solver loop.
 
-:class:`StatsObserver` is the observer that reproduces the classic
-:class:`~repro.solvers.stats.SolverStats` counters; it is installed by
-the engine automatically, which is why every ``solve_*`` function still
-returns the exact statistics it always did.
+The engine keeps the classic :class:`~repro.solvers.stats.SolverStats`
+counters itself, so a run without observers emits nothing.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Hashable, Iterable, List, Optional, Tuple
-
-from repro.solvers.stats import SolverStats
 
 
 class SolverObserver:
@@ -92,9 +88,6 @@ class EventBus:
 
     def __init__(self, observers: Iterable[SolverObserver] = ()) -> None:
         self.observers: List[SolverObserver] = list(observers)
-        self._rebuild()
-
-    def _rebuild(self) -> None:
         self._listeners = {
             hook: [
                 getattr(obs, hook)
@@ -103,12 +96,6 @@ class EventBus:
             ]
             for hook in self._HOOKS
         }
-
-    def subscribe(self, observer: SolverObserver) -> SolverObserver:
-        """Attach ``observer``; returns it for chaining."""
-        self.observers.append(observer)
-        self._rebuild()
-        return observer
 
     # The emit methods are spelled out (rather than dispatched by name)
     # to keep the per-evaluation hot path free of string lookups.
@@ -144,31 +131,6 @@ class EventBus:
     def emit_done(self, engine) -> None:
         for hook in self._listeners["on_done"]:
             hook(engine)
-
-
-class StatsObserver(SolverObserver):
-    """Accumulates the classic :class:`SolverStats` counters from events."""
-
-    def __init__(self, stats: Optional[SolverStats] = None) -> None:
-        self.stats = stats if stats is not None else SolverStats()
-
-    def on_eval(self, x) -> None:
-        self.stats.count_eval(x)
-
-    def on_update(self, x, old, new) -> None:
-        self.stats.count_update()
-
-    def on_restart(self, x, region) -> None:
-        self.stats.restarts += 1
-
-    def on_queue(self, size: int) -> None:
-        self.stats.observe_queue(size)
-
-    def on_memo(self, x, hit: bool) -> None:
-        if hit:
-            self.stats.memo_hits += 1
-        else:
-            self.stats.memo_misses += 1
 
 
 class RecordingObserver(SolverObserver):

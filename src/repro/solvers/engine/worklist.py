@@ -1,12 +1,12 @@
 """Priority worklists: the paper's ``Q`` with set semantics.
 
-:class:`PriorityWorklist` is the queue shared by SW, SLR, SLR+ and the
-two-phase baseline (historically it lived in :mod:`repro.solvers.sw`,
-which still re-exports it).  :class:`ObservedWorklist` is the
-engine-aware variant that reports its high-water mark through the event
-bus: it emits ``on_queue`` whenever the queue *grows*, which observes the
-true maximum -- the seed solvers sampled the size at extraction points
-instead, so additions that were drained by an inner loop (SLR) or left
+:class:`PriorityWorklist` is the queue of SW and the two-phase baseline
+(historically it lived in :mod:`repro.solvers.sw`, which still
+re-exports it); the local solvers queue records in the engine.
+:class:`ObservedWorklist` is the engine-aware variant that records its
+high-water mark and emits ``on_queue`` whenever the queue *grows*, which
+observes the true maximum -- the seed solvers sampled the size at
+extraction points instead, so additions drained by an inner loop or left
 pending at loop exit were never seen.
 """
 
@@ -33,17 +33,6 @@ class PriorityWorklist:
     def __bool__(self) -> bool:
         return bool(self._present)
 
-    @property
-    def heap(self) -> list:
-        """The underlying heap of ``(key, seq, x)`` entries, for reading.
-
-        Every entry belongs to an enqueued unknown and every enqueued
-        unknown has exactly one entry, so ``heap[0][0]`` is the least
-        enqueued key whenever ``heap`` is non-empty -- the test a solver
-        loop can make without a method call.
-        """
-        return self._heap
-
     def add(self, x) -> None:
         """Insert ``x`` unless it is already enqueued."""
         if x not in self._present:
@@ -69,17 +58,13 @@ class PriorityWorklist:
 
 
 class ObservedWorklist(PriorityWorklist):
-    """A :class:`PriorityWorklist` that reports growth on the event bus.
+    """A :class:`PriorityWorklist` that records its growth in ``stats``
+    and, given a ``bus``, reports it as ``on_queue`` events."""
 
-    Given ``stats`` (the engine does so when no observer besides the
-    stats one listens), growth updates ``stats.max_queue`` directly
-    instead.
-    """
-
-    def __init__(self, key_of, bus, stats=None) -> None:
+    def __init__(self, key_of, stats, bus=None) -> None:
         super().__init__(key_of)
-        self._bus = bus
         self._stats = stats
+        self._bus = bus
 
     def add(self, x) -> None:
         present = self._present
@@ -88,7 +73,6 @@ class ObservedWorklist(PriorityWorklist):
         present.add(x)
         heap = self._heap
         heapq.heappush(heap, (self._key_of(x), len(heap), x))
-        if self._stats is not None:
-            self._stats.observe_queue(len(present))
-        else:
+        self._stats.observe_queue(len(present))
+        if self._bus is not None:
             self._bus.emit_queue(len(present))

@@ -43,18 +43,18 @@ def solve_kleene(
     """
     eng = SolverEngine(system, max_evals=max_evals, observers=observers)
     xs = list(order) if order is not None else list(system.unknowns)
-    sigma = eng.seed_finite(xs)
+    sweep = eng.seed_finite(xs)
 
     changed = True
     while changed:
         changed = False
-        snapshot = dict(sigma)
+        snapshot = eng.sigma.copy()
 
         def get(y):
             return snapshot[y]
 
-        for x in xs:
-            if eng.commit(x, eng.eval_rhs(x, get)):
+        for r in sweep:
+            if eng.commit(r, eng.eval_rhs(r, get)):
                 changed = True
     eng.finish(unknowns=len(xs))
-    return SolverResult(sigma, eng.stats)
+    return SolverResult(eng.sigma.copy(), eng.stats)

@@ -49,23 +49,20 @@ def solve_rld(
     """
     eng = SolverEngine(system, op, max_evals=max_evals, observers=observers)
     op = eng.op  # the engine's per-run fresh instance
-    sigma = eng.sigma
 
-    # The engine's ``infl`` holds insertion-ordered sets (dicts with
-    # ``None`` values) so that destabilised unknowns are re-solved in the
-    # order their dependencies were recorded -- keeping runs deterministic
-    # regardless of string-hash randomisation.
-    def solve(x) -> None:
-        if x in eng.stable:
+    # Influence is recorded in insertion order, so destabilised unknowns
+    # are re-solved in the order their dependencies were recorded --
+    # keeping runs deterministic regardless of string-hash randomisation.
+    def solve(r) -> None:
+        if r.stable:
             return
-        eng.stable.add(x)
-        eng.value_of(x)
-        old = sigma[x]
-        tmp = op(x, old, eng.eval_rhs(x, eng.demand_solving_eval(x, solve)))
-        if eng.commit(x, tmp):
-            for y in eng.destabilize_ordered(x):
+        r.stable = True
+        old = r.value
+        tmp = op(r.x, old, eng.eval_rhs(r, eng.demand_solving_eval(r, solve)))
+        if eng.commit(r, tmp):
+            for y in eng.destabilize_ordered(r):
                 solve(y)
 
-    call_with_deep_stack(lambda: solve(x0))
-    eng.finish(unknowns=len(sigma))
-    return SolverResult(sigma, eng.stats)
+    call_with_deep_stack(lambda: solve(eng.record(x0)))
+    eng.finish(unknowns=len(eng.records))
+    return SolverResult(eng.sigma.copy(), eng.stats)

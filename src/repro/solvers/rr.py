@@ -56,17 +56,13 @@ def solve_rr(
     )
     op = eng.op  # the engine's per-run fresh instance
     xs = list(order) if order is not None else list(system.unknowns)
-    sigma = eng.seed_finite(xs)
-
-    def get(y):
-        return sigma[y]
+    sweep = eng.seed_finite(xs)
 
     dirty = True
     while dirty:
         dirty = False
-        for x in xs:
-            old = sigma[x]
-            if eng.commit(x, op(x, old, eng.eval_rhs(x, get))):
+        for r in sweep:
+            if eng.commit(r, op(r.x, r.value, eng.eval_rhs(r, eng.value_of))):
                 dirty = True
     eng.finish(unknowns=len(xs))
-    return SolverResult(sigma, eng.stats)
+    return SolverResult(eng.sigma.copy(), eng.stats)

@@ -55,26 +55,24 @@ def solve_rr_local(
     """
     eng = SolverEngine(system, op, max_evals=max_evals, observers=observers)
     op = eng.op  # the engine's per-run fresh instance
-    sigma = eng.sigma
-    sigma[x0] = system.init(x0)
-    worklist = [x0]  # insertion-ordered domain
+    worklist = [eng.record(x0)]  # insertion-ordered domain
 
     dirty = True
     while dirty:
         dirty = False
         discovered: list = []
-        for x in worklist:
+        for r in worklist:
+            # The tracer's lookups initialise what they read.
             tracer = TracingGet(eng.value_of)
-            old = sigma[x]
-            value = eng.eval_rhs(x, tracer)
-            if eng.commit(x, op(x, old, value)):
+            old = r.value
+            value = eng.eval_rhs(r, tracer)
+            if eng.commit(r, op(r.x, old, value)):
                 dirty = True
             for y in tracer.accessed:
-                if y not in sigma:
-                    sigma[y] = system.init(y)
-                if y not in set(worklist) | set(discovered):
-                    discovered.append(y)
+                target = eng.records[y]
+                if target not in set(worklist) | set(discovered):
+                    discovered.append(target)
                     dirty = True
         worklist.extend(discovered)
     eng.finish(unknowns=len(worklist))
-    return SolverResult({x: sigma[x] for x in worklist}, eng.stats)
+    return SolverResult({r.x: r.value for r in worklist}, eng.stats)

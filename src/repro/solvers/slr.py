@@ -82,27 +82,37 @@ def solve_slr(
     eng = SolverEngine(
         system, op, max_evals=max_evals, observers=observers, memoize=memoize
     )
-    op = eng.op  # the engine's per-run fresh instance
-    sigma, keys = eng.sigma, eng.keys
-    queue = eng.make_queue(lambda x: keys[x])
-
-    def solve(x) -> None:
-        if x in eng.stable:
-            return
-        eng.stable.add(x)
-        old = sigma[x]
-        tmp = op(x, old, eng.eval_rhs(x, eng.fresh_solving_eval(x, solve)))
-        if eng.commit(x, tmp):
-            eng.destabilize(x, queue)
-        while queue and queue.min_key() <= keys[x]:
-            solve(queue.extract_min())
-
-    def run() -> None:
-        eng.init_unknown(x0)
-        solve(x0)
-
-    call_with_deep_stack(run)
+    solve = slr_solver(eng)
+    call_with_deep_stack(lambda: solve(eng.init_unknown(x0)))
     eng.finish()
+    return local_result(eng)
+
+
+def slr_solver(eng: SolverEngine):
+    """SLR's ``solve x`` over ``eng``'s records, for a cold run or a
+    warm start (:func:`repro.incremental.warmstart.warm_solve_slr`)."""
+    op = eng.op  # the engine's per-run fresh instance
+    heap = eng.heap
+
+    def solve(r) -> None:
+        if r.stable:
+            return
+        r.stable = True
+        old = r.value
+        tmp = op(r.x, old, eng.eval_rhs(r, eng.fresh_solving_eval(r, solve)))
+        if eng.commit(r, tmp):
+            eng.destabilize(r)
+        while heap and heap[0][0] <= r.key:
+            solve(eng.dequeue())
+
+    return solve
+
+
+def local_result(eng: SolverEngine) -> LocalResult:
+    """The :class:`LocalResult` of a finished SLR run on ``eng``."""
     return LocalResult(
-        sigma=sigma, stats=eng.stats, infl=eng.infl, keys=keys
+        sigma=eng.sigma.copy(),
+        stats=eng.stats,
+        infl=eng.infl.copy(),
+        keys=eng.keys.copy(),
     )

@@ -43,15 +43,15 @@ the same discipline Goblint applies.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Set
+from typing import Hashable, Optional
 
 from repro.eqs.side import SideEffectingSystem
-from repro.solvers._deepcall import call_with_deep_stack
 from repro.solvers.combine import Combine
 from repro.solvers.engine import SolverEngine
 from repro.solvers.registry import register_solver
 from repro.solvers.slr_side import RestartResult, slr_loop
 from repro.solvers.stats import SolverResult
+from repro.solvers.td import td_loop
 
 
 @register_solver(
@@ -144,65 +144,4 @@ def solve_tdr(
     TD's non-genericity -- evaluations are not atomic.
     """
     eng = SolverEngine(system, op, max_evals=max_evals, observers=observers)
-    op = eng.op  # the engine's per-run fresh instance
-    lat = eng.lattice
-    sigma, infl, stable = eng.sigma, eng.infl, eng.stable
-    called: Set[Hashable] = set()
-    wpoints: Set[Hashable] = set()
-    restarted: Set[Hashable] = set()
-    eng.aux.update(wpoints=wpoints)
-
-    def destabilize(y) -> None:
-        work = list(infl.get(y, ()))
-        infl[y] = {}
-        eng.bus.emit_destabilize(y, work)
-        for z in work:
-            if z in stable:
-                stable.discard(z)
-                destabilize(z)
-
-    def make_eval(x):
-        def eval_(y):
-            if y in called:
-                # ``y`` is on the call stack: the lookup closes a cycle.
-                wpoints.add(y)
-            else:
-                solve(y)
-            infl.setdefault(y, {})[x] = None
-            return eng.value_of(y)
-
-        return eval_
-
-    def solve(x) -> None:
-        if x in stable or x in called:
-            return
-        called.add(x)
-        try:
-            while True:
-                eng.value_of(x)
-                old = sigma[x]
-                new = op(x, old, eng.eval_rhs(x, make_eval(x)))
-                grew_before = eng._direction.get(x) is False
-                if not eng.commit(x, new):
-                    break
-                if (
-                    x in wpoints
-                    and x not in restarted
-                    and grew_before
-                    and lat.leq(new, old)
-                ):
-                    restarted.add(x)
-                    eng.restart_region(x)
-                else:
-                    destabilize(x)
-        finally:
-            called.discard(x)
-        stable.add(x)
-
-    call_with_deep_stack(lambda: solve(x0))
-    rounds = 0
-    while x0 not in stable and rounds < 100:
-        call_with_deep_stack(lambda: solve(x0))
-        rounds += 1
-    eng.finish(unknowns=len(sigma))
-    return SolverResult(sigma, eng.stats)
+    return td_loop(eng, x0, restart=True)

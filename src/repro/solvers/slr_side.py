@@ -137,8 +137,6 @@ def slr_loop(
     mode: str,
     track_contributions: bool = True,
     *,
-    contribs: Optional[Dict[Tuple[Hashable, Hashable], object]] = None,
-    contributors: Optional[Dict[Hashable, Set[Hashable]]] = None,
     accumulated: Iterable[Hashable] = (),
     wpoints: Iterable[Hashable] = (),
     seeds: Iterable[Hashable] = (),
@@ -146,11 +144,14 @@ def slr_loop(
     """Run SLR+, SLR2 or SLR3 (``mode``, see :data:`MODES`) on ``eng``.
 
     A cold run passes a fresh engine and nothing else.  A warm start
-    passes an engine restored from a snapshot, the restored
-    ``contribs``/``contributors``/``accumulated`` bookkeeping (the loop
-    updates the two maps in place), the restored widening points, and
-    the destabilized ``seeds``, which are enqueued before ``x0`` is
-    solved; ``x0`` is initialised only when it was not restored.
+    passes an engine restored from a snapshot, contributions included,
+    the restored ``accumulated`` targets and widening points, and the
+    destabilized ``seeds``, which are enqueued before ``x0`` is solved;
+    ``x0`` is initialised only when it was not restored.  Unknowns in
+    ``accumulated`` count as accumulated targets whenever they are met.
+
+    The loop runs on the engine's records: a lookup or side effect makes
+    one dict lookup, everything else reads record fields.
 
     :returns: a :class:`SideResult` for ``slr+``, a
         :class:`RestartResult` for ``slr2`` and ``slr3``.
@@ -162,120 +163,90 @@ def slr_loop(
     system = eng.system
     op = eng.op  # the engine's per-run fresh instance
     lat = eng.lattice
-    sigma, keys, dom, stable = eng.sigma, eng.keys, eng.dom, eng.stable
-    infl = eng.infl
-    if contribs is None:
-        contribs = {}
-    if contributors is None:
-        contributors = {}
-    accumulated = set(accumulated)
-    #: SLR2/SLR3: the dynamically detected widening points -- the only
-    #: unknowns combined through ``op``; everything else is plain override.
-    wpoints = set(wpoints)
-    #: SLR3: widening points already restarted this run (once each).
-    restarted: Set[Hashable] = set()
-    #: SLR2/SLR3: unknowns whose right-hand side is being evaluated right
-    #: now; a lookup that hits this set closes a cycle at the looked-up
-    #: unknown.  A set, not the engine's in-flight *list*, so the
-    #: membership test on the lookup hot path is O(1).
-    evaluating: Set[Hashable] = set()
-    # Expose the side-effect bookkeeping for mid-run snapshots
-    # (repro.incremental.state.capture_engine reads these) and for the
-    # engine's restart primitive (which drops stale contributions).  SLR+
-    # registers no widening points, so its snapshots carry none.
-    eng.aux.update(
-        contribs=contribs, contributors=contributors, accumulated=accumulated
-    )
+    join, equal, bottom = lat.join, lat.equal, lat.bottom
+    records, heap = eng.records, eng.heap
+    eval_rhs, commit, destabilize = eng.eval_rhs, eng.commit, eng.destabilize
+    enqueue, dequeue = eng.enqueue, eng.dequeue
+    protect = frozenset(accumulated)
+    for x in protect:
+        if x in records:
+            records[x].accumulated = True
     if localized:
-        eng.aux["wpoints"] = wpoints
-    queue = eng.make_queue(keys.__getitem__)
-    heap = queue.heap
-    #: Per-unknown ``(eval, effected, thunk)``, built on its first
-    #: evaluation and reused by every later one (see ``callbacks_of``).
-    callbacks: dict = {}
+        # SLR2/SLR3: the dynamically detected widening points are the
+        # only unknowns combined through ``op``; everything else is plain
+        # override.
+        for x in wpoints:
+            if x in records:
+                records[x].wpoint = True
 
-    def init(y) -> None:
-        eng.init_unknown(y)
-        contributors.setdefault(y, set())
+    def init(y, contributed: bool = True):
+        """First encounter of ``y``.  Every unknown gets a contributor set
+        except one that SLR+ meets through a lookup."""
+        record = eng.init_unknown(y)
+        if protect and y in protect:
+            record.accumulated = True
+        if contributed:
+            record.contribs = {}
+        return record
 
-    def destabilize_and_queue(y) -> None:
-        stable.discard(y)
-        queue.add(y)
-
-    def solve(x) -> None:
-        if x in stable:
+    def solve(r) -> None:
+        if r.stable:
             return
-        stable.add(x)
-        get, effected, thunk = callbacks.get(x) or callbacks_of(x)
-        effected.clear()
-        if localized:
-            evaluating.add(x)
-            try:
-                total = eng.eval_rhs(x, get, thunk)
-            finally:
-                evaluating.discard(x)
-        else:
-            total = eng.eval_rhs(x, get, thunk)
-        # Join the return value with all recorded side contributions to x.
+        r.stable = True
+        get = r.get or callbacks_of(r)
+        r.effected.clear()
+        total = eval_rhs(r, get, r.side)
+        # Join the return value with all recorded side contributions.
         if track_contributions:
-            for z in contributors.get(x, ()):
-                total = lat.join(total, contribs[(z, x)])
-        elif x in accumulated:
-            # Classical accumulation keeps past side effects in sigma[x]
+            if r.contribs:
+                for d in r.contribs.values():
+                    total = join(total, d)
+        elif r.accumulated:
+            # Classical accumulation keeps past side effects in the value
             # itself, so they must survive the combine with the own value.
-            total = lat.join(total, sigma[x])
-        old = sigma[x]
+            total = join(total, r.value)
+        old = r.value
         # The localization: ⌴ at widening points, plain override
         # elsewhere -- a non-point simply tracks its right-hand side.
-        new = total if localized and x not in wpoints else op(x, old, total)
+        new = total if localized and not r.wpoint else op(r.x, old, total)
         # The direction *before* this commit: a downward reversal is a
         # shrink whose predecessor move grew (False = grew).
-        grew_before = restart and eng._direction.get(x) is False
-        if eng.commit(x, new):
-            if (
-                grew_before
-                and x in wpoints
-                and x not in restarted
-                and lat.leq(new, old)
-            ):
-                restarted.add(x)
-                eng.restart_region(x, queue)
+        grew_before = restart and r.direction is False
+        if commit(r, new):
+            if grew_before and r.wpoint and not r.restarted and lat.leq(new, old):
+                r.restarted = True
+                eng.restart_region(r, requeue=True)
             else:
-                eng.destabilize(x, queue)
-        key = keys[x]
+                destabilize(r)
+        key = r.key
         while heap and heap[0][0] <= key:
-            solve(queue.extract_min())
+            solve(dequeue())
 
-    def callbacks_of(x) -> tuple:
-        """Build ``x``'s lookup and side-effect callbacks for this run.
+    def callbacks_of(r):
+        """Build ``r``'s lookup and side-effect callbacks for this run.
 
-        ``effected`` holds the targets of the current evaluation; the
-        solver clears it before each one.  ``x`` is never re-solved while
-        its own right-hand side runs (nested solves only reach younger
-        unknowns), so one set per unknown suffices.
+        One ``r.effected`` set, cleared before each evaluation, suffices:
+        an unknown is never re-solved while its own right-hand side runs.
         """
-        rhs = system.rhs(x)
-        side, effected = make_side(x)
-        entry = callbacks[x] = (
-            make_eval(x) if localized else eng.fresh_solving_eval(x, solve),
-            effected,
-            lambda get: rhs(get, side),
-        )
-        return entry
+        r.rhs = system.rhs(r.x)
+        r.side = make_side(r)
+        r.get = make_eval(r)
+        return r.get
 
-    def make_eval(x):
-        """SLR2/SLR3 ``eval x``: SLR+'s lookup plus widening-point detection.
+    def make_eval(r):
+        """``eval x``: read known unknowns, solve fresh ones.
 
-        Unlike the engine's lookup, a fresh unknown goes through ``init``
-        and so gets an (empty) contributor set.
+        SLR2 and SLR3 also detect widening points, and a fresh unknown
+        gets a contributor set; under SLR+ it gets none.
         """
-        key = keys[x]
+        key = r.key
 
         def eval_(y):
-            if y not in dom:
-                init(y)
-                solve(y)
-            elif y in evaluating or keys[y] >= key:
+            target = records.get(y)
+            if target is None:
+                target = init(y, localized)
+                solve(target)
+            elif localized and (target.evaluating or target.key >= key):
                 # ``y`` heads a dependency cycle: either its own
                 # evaluation (transitively) looked itself up, or the
                 # access runs against the priority order (``y`` was
@@ -286,92 +257,98 @@ def slr_loop(
                 # even when its closing edge only materializes during a
                 # later re-evaluation (e.g. a call edge whose source
                 # environment was still bottom on the first descent).
-                wpoints.add(y)
-            infl[y].add(x)
-            return sigma[y]
+                target.wpoint = True
+            target.infl[r] = None
+            return target.value
 
         return eval_
 
-    def _side_accumulate(x, y, d) -> None:
+    def accumulate(target, d, fresh: bool) -> None:
         """Classical side-effect handling: fold ``d`` into the target."""
-        fresh = y not in dom
-        if fresh:
-            init(y)
-        elif localized:
+        if localized and not fresh:
             # An accumulated target only ever grows; without acceleration
             # a side-effect cycle through it would diverge.
-            wpoints.add(y)
-        accumulated.add(y)
-        joined = lat.join(sigma[y], d)
-        new = joined if localized and y not in wpoints else op(y, sigma[y], joined)
-        if eng.commit(y, new):
+            target.wpoint = True
+        target.accumulated = True
+        old = target.value
+        joined = join(old, d)
+        new = joined if localized and not target.wpoint else op(target.x, old, joined)
+        if commit(target, new):
             if fresh:
-                solve(y)
+                solve(target)
             else:
-                eng.destabilize(y, queue)
+                destabilize(target)
 
-    def make_side(x):
-        effected: set = set()
+    def make_side(r):
+        effected = r.effected = set()
 
         def side(y, d) -> None:
-            if y == x:
+            target = records.get(y)
+            fresh = target is None
+            if fresh:
+                target = init(y)
+            elif target is r:
                 raise SideEffectError(
-                    f"right-hand side of {x!r} side-effects itself"
+                    f"right-hand side of {r.x!r} side-effects itself"
                 )
-            if y in effected:
+            elif target in effected:
                 raise SideEffectError(
-                    f"right-hand side of {x!r} side-effects {y!r} twice "
+                    f"right-hand side of {r.x!r} side-effects {y!r} twice "
                     f"in one evaluation"
                 )
-            effected.add(y)
+            effected.add(target)
             if not track_contributions:
-                _side_accumulate(x, y, d)
+                accumulate(target, d, fresh)
                 return
-            pair = (x, y)
-            old = contribs.get(pair, lat.bottom)
-            changed = not lat.equal(old, d)
+            contribs = target.contribs
+            if fresh:
+                contribs[r] = d
+                solve(target)
+                return
+            # ``y`` may have been discovered through ``eval`` (which under
+            # SLR+ gives it no contributor set), so default here.
+            if contribs is None:
+                contribs = target.contribs = {}
+            changed = not equal(contribs.get(r, bottom), d)
+            contribs[r] = d
             if changed:
-                contribs[pair] = d
-            if y not in dom:
-                init(y)
-                contributors[y] = {x}
-                solve(y)
-            else:
-                # ``y`` may have been discovered through ``eval`` (which
-                # does not touch the contributor map), so default here.
-                contributors.setdefault(y, set()).add(x)
-                if changed:
-                    if localized:
-                        # A changed re-contribution closes a cycle through
-                        # the side effect (the ``infl`` recursion cannot
-                        # see it); accelerate the target from now on.
-                        wpoints.add(y)
-                    destabilize_and_queue(y)
+                if localized:
+                    # A changed re-contribution closes a cycle through the
+                    # side effect (the ``infl`` recursion cannot see it);
+                    # accelerate the target from now on.
+                    target.wpoint = True
+                target.stable = False
+                enqueue((target,))
 
-        return side, effected
+        return side
 
     def run() -> None:
-        if x0 not in dom:
-            init(x0)
-        for x in seeds:
-            queue.add(x)
-        solve(x0)
+        r0 = records.get(x0)
+        if r0 is None:
+            r0 = init(x0)
+        enqueue(records[x] for x in seeds)
+        solve(r0)
         # Drain any work the final evaluation may have left behind (side
         # effects can enqueue unknowns while the top-level value is stable).
-        while queue:
-            solve(queue.extract_min())
+        while heap:
+            solve(dequeue())
 
     call_with_deep_stack(run)
     eng.finish()
+    contribs, contributors = eng.contributions()
     fields = dict(
-        sigma=sigma,
+        sigma=eng.sigma.copy(),
         stats=eng.stats,
-        infl=infl,
-        keys=keys,
+        infl=eng.infl.copy(),
+        keys=eng.keys.copy(),
         contribs=contribs,
         contributors=contributors,
-        accumulated=accumulated,
+        accumulated=set(protect) | eng.flagged("accumulated"),
     )
     if localized:
-        return RestartResult(**fields, wpoints=wpoints, restarted=restarted)
+        return RestartResult(
+            **fields,
+            wpoints=eng.flagged("wpoint"),
+            restarted=eng.flagged("restarted"),
+        )
     return SideResult(**fields)

@@ -57,10 +57,7 @@ def solve_srr(
     )
     op = eng.op  # the engine's per-run fresh instance
     xs = list(order) if order is not None else list(system.unknowns)
-    sigma = eng.seed_finite(xs)
-
-    def get(y):
-        return sigma[y]
+    sweep = eng.seed_finite(xs)
 
     # Invariant at position i (0-based): all x_j with j < i satisfy their
     # equation.  A change at position i invalidates nothing below it, but
@@ -68,12 +65,11 @@ def solve_srr(
     # next update of x_i; restarting the climb from position 0 performs
     # exactly that evaluation sequence.
     i = 0
-    while i < len(xs):
-        x = xs[i]
-        old = sigma[x]
-        if eng.commit(x, op(x, old, eng.eval_rhs(x, get))):
+    while i < len(sweep):
+        r = sweep[i]
+        if eng.commit(r, op(r.x, r.value, eng.eval_rhs(r, eng.value_of))):
             i = 0
         else:
             i += 1
     eng.finish(unknowns=len(xs))
-    return SolverResult(sigma, eng.stats)
+    return SolverResult(eng.sigma.copy(), eng.stats)

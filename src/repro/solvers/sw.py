@@ -57,23 +57,24 @@ def solve_sw(
     op = eng.op  # the engine's per-run fresh instance
     xs = list(order) if order is not None else list(system.unknowns)
     key = {x: i for i, x in enumerate(xs)}
-    sigma = eng.seed_finite(system.unknowns)
-    infl = system.infl()
-
-    def get(y):
-        return sigma[y]
-
+    eng.seed_finite(system.unknowns)
     queue = eng.make_queue(key.__getitem__)
     for x in xs:
         queue.add(x)
+    sw_iterate(eng, op, queue, system.infl())
+    eng.finish(unknowns=len(eng.records))
+    return SolverResult(eng.sigma.copy(), eng.stats)
+
+
+def sw_iterate(eng: SolverEngine, op, queue, infl) -> None:
+    """Drain ``queue`` by SW's iteration: a change of ``x`` re-inserts
+    ``x`` and its static influence set ``infl[x]``."""
     while queue:
         x = queue.extract_min()
-        old = sigma[x]
-        if eng.commit(x, op(x, old, eng.eval_rhs(x, get))):
+        r = eng.records[x]
+        if eng.commit(r, op(x, r.value, eng.eval_rhs(r, eng.value_of))):
             work = infl.get(x, [x])
             queue.add(x)
             for z in work:
                 queue.add(z)
             eng.bus.emit_destabilize(x, work)
-    eng.finish(unknowns=len(sigma))
-    return SolverResult(sigma, eng.stats)

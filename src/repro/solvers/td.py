@@ -19,7 +19,7 @@ and this weakness.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Set
+from typing import Hashable, Optional
 
 from repro.eqs.system import PureSystem
 from repro.solvers._deepcall import call_with_deep_stack
@@ -55,45 +55,53 @@ def solve_td(
     :returns: the mapping over all encountered unknowns.
     """
     eng = SolverEngine(system, op, max_evals=max_evals, observers=observers)
+    return td_loop(eng, x0)
+
+
+def td_loop(eng: SolverEngine, x0: Hashable, restart: bool = False) -> SolverResult:
+    """TD's iteration on ``eng``; with ``restart``, TDR's
+    (:func:`repro.solvers.slr_restart.solve_tdr`): a lookup of an unknown
+    on the call stack makes it a widening point, and a widening point's
+    first downward reversal restarts its region."""
     op = eng.op  # the engine's per-run fresh instance
-    sigma, infl, stable = eng.sigma, eng.infl, eng.stable
-    #: Unknowns whose local iteration is currently running (call stack).
-    called: Set[Hashable] = set()
+    leq = eng.lattice.leq
+    #: Records whose local iteration is currently running (call stack).
+    called: set = set()
 
-    def destabilize(y) -> None:
-        work = list(infl.get(y, ()))
-        infl[y] = {}
-        eng.bus.emit_destabilize(y, work)
-        for z in work:
-            if z in stable:
-                stable.discard(z)
-                destabilize(z)
-
-    def solve(x) -> None:
-        if x in stable or x in called:
+    def solve(r) -> None:
+        if r in called:
+            if restart:  # the lookup closes a cycle at ``r``
+                r.wpoint = True
             return
-        called.add(x)
+        if r.stable:
+            return
+        called.add(r)
         try:
             while True:
-                eng.value_of(x)
-                old = sigma[x]
+                old = r.value
                 new = op(
-                    x, old, eng.eval_rhs(x, eng.demand_solving_eval(x, solve))
+                    r.x, old, eng.eval_rhs(r, eng.demand_solving_eval(r, solve))
                 )
-                if not eng.commit(x, new):
+                grew_before = restart and r.direction is False
+                if not eng.commit(r, new):
                     break
-                destabilize(x)
+                if grew_before and r.wpoint and not r.restarted and leq(new, old):
+                    r.restarted = True
+                    eng.restart_region(r)
+                else:
+                    eng.destabilize_transitive(r)
         finally:
-            called.discard(x)
-        stable.add(x)
+            called.discard(r)
+        r.stable = True
 
-    call_with_deep_stack(lambda: solve(x0))
+    r0 = eng.record(x0)
+    call_with_deep_stack(lambda: solve(r0))
     # Unknowns destabilised after the top-level iteration finished would
     # be re-solved on the next query; drain them now so the returned
     # mapping is as stable as TD can make it.
     rounds = 0
-    while x0 not in stable and rounds < 100:
-        call_with_deep_stack(lambda: solve(x0))
+    while not r0.stable and rounds < 100:
+        call_with_deep_stack(lambda: solve(r0))
         rounds += 1
-    eng.finish(unknowns=len(sigma))
-    return SolverResult(sigma, eng.stats)
+    eng.finish(unknowns=len(eng.records))
+    return SolverResult(eng.sigma.copy(), eng.stats)

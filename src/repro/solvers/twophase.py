@@ -27,6 +27,7 @@ from repro.solvers.combine import NarrowCombine, WidenCombine
 from repro.solvers.engine import SolverEngine
 from repro.solvers.registry import register_solver
 from repro.solvers.stats import SolverResult
+from repro.solvers.sw import sw_iterate
 
 
 @dataclass
@@ -74,27 +75,15 @@ def solve_twophase(
     xs = list(order) if order is not None else list(system.unknowns)
     key = {x: i for i, x in enumerate(xs)}
     eng = SolverEngine(system, max_evals=max_evals, observers=observers)
-    sigma = eng.seed_finite(system.unknowns)
-    infl = system.infl()
+    eng.seed_finite(system.unknowns)
+    records = eng.records
     lat = eng.lattice
 
-    def get(y):
-        return sigma[y]
-
     # ---------------- Phase 1: ascending iteration with widening. -------- #
-    widen_op = WidenCombine(lat)
     queue = eng.make_queue(key.__getitem__)
     for x in xs:
         queue.add(x)
-    while queue:
-        x = queue.extract_min()
-        new = widen_op(x, sigma[x], eng.eval_rhs(x, get))
-        if eng.commit(x, new):
-            work = infl.get(x, [x])
-            queue.add(x)
-            for z in work:
-                queue.add(z)
-            eng.bus.emit_destabilize(x, work)
+    sw_iterate(eng, WidenCombine(lat), queue, system.infl())
     widen_evals = eng.stats.evaluations
 
     # ---------------- Phase 2: descending iteration with narrowing. ------ #
@@ -106,15 +95,16 @@ def solve_twophase(
         changed = False
         rounds += 1
         for x in xs:
-            contribution = eng.eval_rhs(x, get)
-            if not lat.leq(contribution, sigma[x]):
+            r = records[x]
+            contribution = eng.eval_rhs(r, eng.value_of)
+            if not lat.leq(contribution, r.value):
                 violated = True
-            if eng.commit(x, narrow_op(x, sigma[x], contribution)):
+            if eng.commit(r, narrow_op(x, r.value, contribution)):
                 changed = True
 
-    stats = eng.finish(unknowns=len(sigma))
+    stats = eng.finish(unknowns=len(records))
     return TwoPhaseResult(
-        sigma=sigma,
+        sigma=eng.sigma.copy(),
         stats=stats,
         widen_evaluations=widen_evals,
         narrow_evaluations=stats.evaluations - widen_evals,

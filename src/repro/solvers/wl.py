@@ -62,11 +62,9 @@ def solve_wl(
     )
     op = eng.op  # the engine's per-run fresh instance
     xs = list(order) if order is not None else list(system.unknowns)
-    sigma = eng.seed_finite(system.unknowns)
+    eng.seed_finite(system.unknowns)
+    records = eng.records
     infl = system.infl()
-
-    def get(y):
-        return sigma[y]
 
     work = deque(xs)
     member = set(xs)
@@ -74,8 +72,8 @@ def solve_wl(
     while work:
         x = work.pop() if discipline == "lifo" else work.popleft()
         member.discard(x)
-        old = sigma[x]
-        if eng.commit(x, op(x, old, eng.eval_rhs(x, get))):
+        r = records[x]
+        if eng.commit(r, op(x, r.value, eng.eval_rhs(r, eng.value_of))):
             # Influenced unknowns are pushed so that under LIFO the updated
             # unknown itself is re-evaluated first (infl lists start with
             # the unknown itself, hence the reversal).  This matches the
@@ -87,5 +85,5 @@ def solve_wl(
                     work.append(z)
             eng.bus.emit_destabilize(x, pushed)
             eng.observe_queue(len(work))
-    eng.finish(unknowns=len(sigma))
-    return SolverResult(sigma, eng.stats)
+    eng.finish(unknowns=len(records))
+    return SolverResult(eng.sigma.copy(), eng.stats)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.batch import (
     EXIT_DIVERGENCE,
     EXIT_FAULT,
@@ -112,6 +114,29 @@ class TestExecuteJob:
     def test_never_raises_on_arbitrary_garbage(self):
         result = execute_job(loop_job(domain="no-such-domain"))
         assert result.code == EXIT_INPUT
+
+
+class TestIntervalOverflow:
+    """Products beyond float range used to end jobs as internal faults."""
+
+    @pytest.mark.parametrize("solver", ["slr+", "slr2", "slr3"])
+    @pytest.mark.parametrize("context", ["insensitive", "sign"])
+    @pytest.mark.parametrize("program", ["fac", "recursion"])
+    def test_wpoint_job_is_never_an_internal_fault(self, program, context, solver):
+        from repro.bench.wcet import PROGRAMS
+
+        job = JobSpec(
+            id=f"wcet/{program}/wpoint",
+            family="wcet",
+            program=program,
+            source=PROGRAMS[program].source,
+            context=context,
+            solver=solver,
+            op="wpoint",
+            max_evals=20_000,
+        )
+        result = execute_job(job)
+        assert result.code in (EXIT_OK, EXIT_DIVERGENCE), result.error
 
 
 class TestVerifyJobs:

@@ -13,22 +13,37 @@ from repro.lattices.interval import const, interval
 lat = IntervalLattice()
 
 
-def _reference_check(lo, hi) -> None:
-    """The constructor's validation before exact ints skipped ``float``."""
+def _reference_check(lo, hi) -> tuple:
+    """The constructor's contract, spelled out: the emptiness check on the
+    exact bounds, then saturation of int bounds beyond float range, then
+    the integrality checks; the resulting bounds."""
     if lo > hi:
         raise LatticeError(f"empty interval [{lo}, {hi}]")
+    if type(lo) is int and lo < -(2**1023):
+        lo = NEG_INF
+    elif type(lo) is int and lo > 2**1023:
+        lo = 2**1023
+    if type(hi) is int and hi > 2**1023:
+        hi = POS_INF
+    elif type(hi) is int and hi < -(2**1023):
+        hi = -(2**1023)
     if lo != NEG_INF and not float(lo).is_integer():
         raise LatticeError(f"non-integer lower bound {lo}")
     if hi != POS_INF and not float(hi).is_integer():
         raise LatticeError(f"non-integer upper bound {hi}")
+    return lo, hi
+
+
+def _construct(lo, hi) -> tuple:
+    iv = Interval(lo, hi)
+    return iv.lo, iv.hi
 
 
 def _outcome(check, lo, hi):
     try:
-        check(lo, hi)
+        return check(lo, hi)
     except (LatticeError, OverflowError) as err:
         return type(err), str(err)
-    return None
 
 
 #: Bounds of every kind: small and float-overflowing ints, bools,
@@ -74,7 +89,14 @@ class TestConstruction:
     @example(0.5, POS_INF)
     @example(float("nan"), 0)
     def test_validation_matches_the_reference_check(self, lo, hi):
-        assert _outcome(Interval, lo, hi) == _outcome(_reference_check, lo, hi)
+        assert _outcome(_construct, lo, hi) == _outcome(_reference_check, lo, hi)
+
+    def test_bounds_beyond_float_range_saturate(self):
+        assert _construct(-(2**1100), 2**1100) == (NEG_INF, POS_INF)
+        assert _construct(2**1100, 2**1101) == (2**1023, POS_INF)
+        assert _construct(-(2**1101), -(2**1100)) == (NEG_INF, -(2**1023))
+        with pytest.raises(LatticeError):
+            Interval(2**1101, 2**1100)
 
 
 class TestOrder:

@@ -7,8 +7,11 @@ loop.  Every case -- cold or warm-started (``reset`` ``none`` and
 without a :class:`~repro.solvers.engine.RecordingObserver` -- must
 reproduce its counters, solution fingerprint, snapshot bytes, widening
 points, restarted points, contributor map, accumulated set and event
-stream exactly.  The case definitions live in the capture tool, so the
-test and the tool cannot drift apart.
+stream exactly.  Observed cases also pin the digests of the mid-run
+snapshots a checkpointer takes every tenth evaluation
+(``capture_engine``), re-recorded at 3c75b68 and reproduced by 71faa85.
+The case definitions live in the capture tool, so the test and the tool
+cannot drift apart.
 """
 
 from __future__ import annotations

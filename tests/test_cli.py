@@ -167,6 +167,25 @@ class TestSolve:
         assert main(["solve", loop_file, "--local-solver", solver]) == 0
         assert f"attempt: {solver}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--descent-cap", "-1"],
+            ["--deadline", "0"],
+            ["--deadline", "-5"],
+            ["--checkpoint-every", "0"],
+        ],
+    )
+    def test_bad_option_value_is_an_input_error(self, loop_file, option, capsys):
+        # Rejected while parsing, so no solve starts and no internal
+        # fault (exit 4) is reported.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", loop_file, *option])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option[0]}:" in err
+        assert "internal fault" not in err
+
     def test_divergence_exit_code_is_three(self, loop_file, capsys):
         """Satellite: divergence (3) is distinguishable from input
         errors (2) across the whole CLI."""

@@ -10,7 +10,10 @@ ground truth that the refactored code must reproduce bit-for-bit:
   goldens_side.json``.  Each case records the counters, the solution
   fingerprint, a digest of the serialized snapshot, the result's
   widening points, restarted points, contributor map and accumulated
-  set, and a digest of the recorded event stream.
+  set, and a digest of the recorded event stream.  Observed cases also
+  record the digests of mid-run snapshots (``capture_engine``) taken
+  every ``CHECKPOINT_EVERY`` evaluations, which pins what a checkpointer
+  reads from the engine while the solver runs.
 
 Usage::
 
@@ -25,6 +28,7 @@ import hashlib
 import itertools
 import json
 import sys
+from pathlib import Path
 
 from repro.bench.randsys import (
     RandomSystemConfig,
@@ -98,6 +102,8 @@ RESETS = ("none", "destabilized")
 #: Without and with a RecordingObserver.
 OBSERVED = (False, True)
 MAX_EVALS = 500_000
+#: Observed cases snapshot the running engine every this many evaluations.
+CHECKPOINT_EVERY = 10
 
 
 def _digest(text: str) -> str:
@@ -131,8 +137,14 @@ def side_programs() -> list:
 
 def warm_programs() -> list:
     """``(label, source, edited)`` rows of the warm cases (wcet edits)."""
-    from repro.bench.progen import single_constant_edits
     from repro.bench.wcet import by_size
+
+    try:
+        from repro.bench.progen import single_constant_edits
+    except ImportError:
+        # Trees before a1072e4 keep the helper in the incremental benchmark.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        from test_bench_incremental import single_constant_edits
 
     return [
         (f"wcet/{p.name}/edit{i}", p.source, edited)
@@ -175,7 +187,7 @@ def _unknowns(codec, items) -> str:
     return f"{len(encoded)}:{_digest(json.dumps(encoded))}"
 
 
-def side_record(result, solver: str, lattice, recorder) -> dict:
+def side_record(result, solver: str, lattice, recorder, checkpoints=None) -> dict:
     """The pinned fields of one side-effecting solver result."""
     from repro.batch.jobs import solution_fingerprint
     from repro.incremental import UnknownCodec, capture
@@ -203,21 +215,54 @@ def side_record(result, solver: str, lattice, recorder) -> dict:
         "contributors": f"{len(contributors)}:{_digest(json.dumps(contributors))}",
         "accumulated": _unknowns(codec, result.accumulated),
         "events": None if recorder is None else _digest(repr(recorder.events)),
+        "checkpoints": (
+            None
+            if checkpoints is None
+            else f"{len(checkpoints.digests)}:{_digest(json.dumps(checkpoints.digests))}"
+        ),
     }
 
 
-def _observers(observed: bool):
+def _checkpoint_observer(solver: str, lattice):
+    """An observer digesting a mid-run snapshot every ``CHECKPOINT_EVERY``
+    evaluations; the engine comes from ``on_start``."""
+    from repro.incremental.state import capture_engine
+    from repro.solvers.engine import SolverObserver
+
+    class Checkpoints(SolverObserver):
+        def __init__(self) -> None:
+            self.engine = None
+            self.evals = 0
+            self.digests = []
+
+        def on_start(self, engine) -> None:
+            self.engine = engine
+
+        def on_eval(self, x) -> None:
+            self.evals += 1
+            if self.evals % CHECKPOINT_EVERY == 0:
+                state = capture_engine(self.engine, solver)
+                self.digests.append(_digest(state.dumps(lattice)))
+
+    return Checkpoints()
+
+
+def _observers(observed: bool, solver: str, lattice):
+    """``(recorder, checkpoints, observers)`` of one case."""
     from repro.solvers.engine import RecordingObserver
 
-    recorder = RecordingObserver() if observed else None
-    return recorder, [recorder] if observed else []
+    if not observed:
+        return None, None, []
+    recorder = RecordingObserver()
+    checkpoints = _checkpoint_observer(solver, lattice)
+    return recorder, checkpoints, [recorder, checkpoints]
 
 
 def _cold_case(source, context, op, solver, track, observed) -> dict:
     from repro.solvers.registry import get_solver
 
     _, analysis, combine = _setup(source, context, op)
-    recorder, observers = _observers(observed)
+    recorder, checkpoints, observers = _observers(observed, solver, analysis.lattice)
     result = get_solver(solver)(
         analysis.system(),
         combine,
@@ -226,7 +271,7 @@ def _cold_case(source, context, op, solver, track, observed) -> dict:
         track,
         observers=observers,
     )
-    return side_record(result, solver, analysis.lattice, recorder)
+    return side_record(result, solver, analysis.lattice, recorder, checkpoints)
 
 
 def _warm_case(source, edited, solver, track, reset, observed) -> dict:
@@ -237,7 +282,7 @@ def _warm_case(source, edited, solver, track, reset, observed) -> dict:
     old_cfg, donor = _donor(source, solver, track)
     cfg, analysis, combine = _setup(edited)
     state, dirty = transfer_state(donor, diff_cfg(old_cfg, cfg), cfg)
-    recorder, observers = _observers(observed)
+    recorder, checkpoints, observers = _observers(observed, solver, analysis.lattice)
     result = get_warm_start(solver)(
         analysis.system(),
         combine,
@@ -249,7 +294,7 @@ def _warm_case(source, edited, solver, track, reset, observed) -> dict:
         observers=observers,
         reset=reset,
     )
-    return side_record(result, solver, analysis.lattice, recorder)
+    return side_record(result, solver, analysis.lattice, recorder, checkpoints)
 
 
 def side_cases() -> dict:
