@@ -56,8 +56,7 @@ from repro.lang.cfg import (
     RETURN_SLOT,
 )
 from repro.lattices.lifted import Lifted, LiftedBottom
-from repro.lattices.envlat import ArrayEnvLattice
-from repro.lattices.maplat import FrozenMap
+from repro.lattices.envlat import ArrayEnv, ArrayEnvLattice
 from repro.lattices.union import TaggedUnionLattice, UNION_BOT
 from repro.solvers import Combine, NarrowCombine, WarrowCombine, WidenCombine
 from repro.solvers.registry import resolve_solver
@@ -144,7 +143,7 @@ class ContextPolicy(ABC):
     name = "policy"
 
     @abstractmethod
-    def context(self, fn: FunctionCFG, entry_env: FrozenMap) -> Hashable:
+    def context(self, fn: FunctionCFG, entry_env: ArrayEnv) -> Hashable:
         """The context under which to analyse ``fn`` for this entry state."""
 
 
@@ -153,7 +152,7 @@ class InsensitiveContext(ContextPolicy):
 
     name = "insensitive"
 
-    def context(self, fn: FunctionCFG, entry_env: FrozenMap) -> Hashable:
+    def context(self, fn: FunctionCFG, entry_env: ArrayEnv) -> Hashable:
         return None
 
 
@@ -167,7 +166,7 @@ class FullValueContext(ContextPolicy):
 
     name = "full-value"
 
-    def context(self, fn: FunctionCFG, entry_env: FrozenMap) -> Hashable:
+    def context(self, fn: FunctionCFG, entry_env: ArrayEnv) -> Hashable:
         return tuple((p, entry_env[p]) for p in fn.params)
 
 
@@ -186,7 +185,7 @@ class FiniteProjectionContext(ContextPolicy):
         self.project = project
         self.name = name
 
-    def context(self, fn: FunctionCFG, entry_env: FrozenMap) -> Hashable:
+    def context(self, fn: FunctionCFG, entry_env: ArrayEnv) -> Hashable:
         return tuple((p, self.project(entry_env[p])) for p in fn.params)
 
 
@@ -310,7 +309,7 @@ class InterAnalysis:
 
         return FunSideSystem(self.lattice, rhs_of)
 
-    def _initial_env(self, fn: FunctionCFG, args: Optional[List[object]]) -> FrozenMap:
+    def _initial_env(self, fn: FunctionCFG, args: Optional[List[object]]) -> ArrayEnv:
         zeros = self._zeros.get(fn.name)
         if zeros is None:
             zero = self.domain.from_const(0)

@@ -27,8 +27,7 @@ from repro.analysis.values import NumericDomain
 from repro.eqs.system import DictSystem
 from repro.lang.cfg import CallInstr, ControlFlowGraph, Node
 from repro.lattices.lifted import Lifted, LiftedBottom
-from repro.lattices.envlat import ArrayEnvLattice
-from repro.lattices.maplat import FrozenMap
+from repro.lattices.envlat import ArrayEnv, ArrayEnvLattice
 from repro.solvers import Combine, SolverResult, WarrowCombine
 from repro.solvers.ordering import dfs_priority_order
 from repro.solvers.registry import resolve_solver
@@ -71,7 +70,7 @@ def build_intra_system(
     cfg: ControlFlowGraph,
     fn_name: str,
     domain: NumericDomain,
-    entry_env: Optional[FrozenMap] = None,
+    entry_env: Optional[ArrayEnv] = None,
 ) -> tuple:
     """Build the finite equation system of one call-free function.
 
@@ -132,7 +131,7 @@ def analyze_function(
     domain: NumericDomain,
     op: Optional[Combine] = None,
     solve="sw",
-    entry_env: Optional[FrozenMap] = None,
+    entry_env: Optional[ArrayEnv] = None,
     max_evals: Optional[int] = None,
 ) -> IntraResult:
     """Analyse one call-free function flow-sensitively.

@@ -1,7 +1,7 @@
 """Abstract transformers for CFG edge instructions.
 
 The abstract state of a function is either ``LiftedBottom`` (program point
-unreachable) or a :class:`~repro.lattices.maplat.FrozenMap` binding every
+unreachable) or a :class:`~repro.lattices.envlat.ArrayEnv` binding every
 scalar local and every (smashed) array to a value of the chosen numeric
 domain.  Arrays are *smashed*: one abstract value covers all cells, updated
 weakly; this matches the paper's setting where the interesting precision
@@ -37,8 +37,8 @@ from repro.lang.cfg import (
     SetLocal,
     StoreArray,
 )
+from repro.lattices.envlat import ArrayEnv
 from repro.lattices.lifted import LiftedBottom
-from repro.lattices.maplat import FrozenMap
 
 
 class TransferError(Exception):
@@ -374,7 +374,7 @@ def _compiler(tc: TransferContext) -> TransferCompiler:
     )
 
 
-def eval_expr(tc: TransferContext, env: FrozenMap, expr: ast.Expr):
+def eval_expr(tc: TransferContext, env: ArrayEnv, expr: ast.Expr):
     """Evaluate a call-free expression to an abstract value."""
     return _compiler(tc).expr(expr)(env, tc.globals.read)
 

@@ -58,13 +58,10 @@ from repro.batch.jobs import (
 from repro.batch.matrix import (
     DEFAULT_MATRIX_STRATEGIES,
     MATRIX_FORMAT,
-    MatrixComparison,
     compare_matrices,
-    load_matrix,
     render_matrix,
     run_matrix,
     validate_matrix,
-    write_matrix,
 )
 
 __all__ = [
@@ -75,7 +72,6 @@ __all__ = [
     "EVAL_THRESHOLD",
     "TIME_THRESHOLD",
     "BenchComparison",
-    "MatrixComparison",
     "EXIT_DIVERGENCE",
     "EXIT_FAULT",
     "EXIT_INPUT",
@@ -92,7 +88,6 @@ __all__ = [
     "family_names",
     "git_revision",
     "load_bench",
-    "load_matrix",
     "matrix_programs",
     "options_fingerprint",
     "render_matrix",
@@ -104,5 +99,4 @@ __all__ = [
     "validate_bench",
     "validate_matrix",
     "write_bench",
-    "write_matrix",
 ]

@@ -244,7 +244,8 @@ def validate_bench(doc: dict) -> List[str]:
 
 
 def write_bench(doc: dict, path) -> Path:
-    """Write a document as stable, human-diffable JSON; returns the path."""
+    """Write a bench or matrix document as stable, human-diffable JSON;
+    returns the path."""
     path = Path(path)
     path.write_text(
         json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8"
@@ -252,29 +253,37 @@ def write_bench(doc: dict, path) -> Path:
     return path
 
 
-def load_bench(path) -> dict:
-    """Load and validate a benchmark document.
+def load_bench(
+    path,
+    validate: Callable[[dict], List[str]] = validate_bench,
+    fmt: str = BENCH_FORMAT,
+) -> dict:
+    """Load a document and check it with ``validate``: a benchmark
+    document by default, a matrix one with
+    :func:`~repro.batch.matrix.validate_matrix` and its format name.
 
     :raises ValueError: when the file is not a schema-valid document.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    problems = validate_bench(doc)
+    problems = validate(doc)
     if problems:
         raise ValueError(
-            f"{path}: not a valid {BENCH_FORMAT} document: "
-            + "; ".join(problems[:5])
+            f"{path}: not a valid {fmt} document: " + "; ".join(problems[:5])
         )
     return doc
 
 
 @dataclass
 class BenchComparison:
-    """The verdict of comparing a benchmark document against a baseline."""
+    """The verdict of gating a bench or matrix document against a
+    baseline."""
 
     #: Gate-failing findings, human-readable.
     regressions: List[str] = field(default_factory=list)
-    #: Noteworthy non-failing findings (improvements, new jobs).
+    #: Noteworthy non-failing findings (improvements, new jobs or cells).
     notes: List[str] = field(default_factory=list)
+    #: Which gate's verdict this is, for the last line of :meth:`render`.
+    label: str = "bench"
 
     @property
     def ok(self) -> bool:
@@ -287,7 +296,7 @@ class BenchComparison:
         for regression in self.regressions:
             lines.append(f"REGRESSION: {regression}")
         lines.append(
-            "bench gate: "
+            f"{self.label} gate: "
             + ("ok" if self.ok else f"{len(self.regressions)} regression(s)")
         )
         return "\n".join(lines)

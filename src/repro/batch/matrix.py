@@ -55,14 +55,11 @@ baseline with ``regressed_points == 0``.
 
 from __future__ import annotations
 
-import json
 import platform
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.batch.bench import git_revision
+from repro.batch.bench import BenchComparison, git_revision
 from repro.batch.jobs import JobSpec, configure, solution_fingerprint, solve
 from repro.lang import LexError, ParseError, SemanticError
 from repro.solvers.stats import DivergenceError
@@ -394,57 +391,7 @@ def validate_matrix(doc: dict) -> List[str]:
     return problems
 
 
-def write_matrix(doc: dict, path) -> Path:
-    """Write a document as stable, human-diffable JSON; returns the path."""
-    path = Path(path)
-    path.write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
-
-
-def load_matrix(path) -> dict:
-    """Load and validate a matrix document.
-
-    :raises ValueError: when the file is not a schema-valid document.
-    """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    problems = validate_matrix(doc)
-    if problems:
-        raise ValueError(
-            f"{path}: not a valid {MATRIX_FORMAT} document: "
-            + "; ".join(problems[:5])
-        )
-    return doc
-
-
-@dataclass
-class MatrixComparison:
-    """The verdict of gating a matrix document against a baseline."""
-
-    #: Gate-failing findings, human-readable.
-    regressions: List[str] = field(default_factory=list)
-    #: Noteworthy non-failing findings (improvements, new cells).
-    notes: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def render(self) -> str:
-        lines = []
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        for regression in self.regressions:
-            lines.append(f"REGRESSION: {regression}")
-        lines.append(
-            "matrix gate: "
-            + ("ok" if self.ok else f"{len(self.regressions)} regression(s)")
-        )
-        return "\n".join(lines)
-
-
-def compare_matrices(current: dict, baseline: dict) -> MatrixComparison:
+def compare_matrices(current: dict, baseline: dict) -> BenchComparison:
     """Gate ``current`` against a committed baseline matrix.
 
     Precision counts are byte-stable across machines, so the gate is
@@ -466,7 +413,7 @@ def compare_matrices(current: dict, baseline: dict) -> MatrixComparison:
     ``repro bench --matrix --update-baseline`` refreshes the baseline
     when a gain is intended.
     """
-    cmp_ = MatrixComparison()
+    cmp_ = BenchComparison(label="matrix")
     if current.get("baseline") != baseline.get("baseline"):
         cmp_.regressions.append(
             f"baseline strategy differs: current {current.get('baseline')!r} "

@@ -11,19 +11,11 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.analysis import IntervalDomain, analyze_program
-from repro.analysis.compare import compare_results
-from repro.analysis.inter import (
-    ContextPolicy,
-    InsensitiveContext,
-    InterAnalysis,
-    analyze_program_twophase,
-    sign_context,
-)
+from repro.batch.jobs import JobSpec, configure, solve
+from repro.batch.matrix import run_matrix
 from repro.bench.spec import PROGRAMS as SPEC_PROGRAMS
 from repro.bench.wcet import PROGRAMS as WCET_PROGRAMS
-from repro.lang import compile_program
-from repro.solvers import WarrowCombine, WidenCombine
+from repro.solvers import WarrowCombine
 from repro.solvers.registry import get_solver
 
 
@@ -40,7 +32,8 @@ class Fig7Row:
     improved: int
     total: int
     worse: int
-    #: Wall time for both analyses of this benchmark, seconds.
+    #: Solve-and-collect time of both matrix cells of this benchmark,
+    #: seconds.
     seconds: float = 0.0
 
     @property
@@ -72,32 +65,47 @@ def run_fig7(
 ) -> Fig7Result:
     """Reproduce Figure 7 on the WCET suite.
 
-    For every benchmark, run the combined-operator solver and the
-    two-phase baseline, then count the program points where the combined
-    operator is strictly more precise.
+    Reads the strategy matrix (:func:`repro.batch.matrix.run_matrix`) of
+    the benchmarks with the two-phase baseline and a ``warrow`` column:
+    a bar counts the program points where the combined operator is
+    strictly more precise than two-phase solving.
     """
-    dom = IntervalDomain()
     programs = [
         p
         for p in sorted(WCET_PROGRAMS.values(), key=lambda p: (p.loc, p.name))
         if names is None or p.name in names
     ]
+    doc = run_matrix(
+        [("wcet", p.name, p.source) for p in programs],
+        ["warrow"],
+        baseline="twophase",
+        max_evals=max_evals,
+        # The document is read here and never persisted: a fixed label
+        # instead of the git revision, whose lookup starts a subprocess.
+        revision="fig7",
+    )
+    cells = {}
+    for cell in doc["cells"]:
+        if cell["code"] != 0:
+            raise RuntimeError(
+                f"fig7: {cell['program']} under {cell['strategy']}: "
+                f"{cell['status']}: {cell['error']}"
+            )
+        cells[cell["program"], cell["strategy"]] = cell
+    base = doc["baseline"]
+    (warrow,) = [spec for spec in doc["strategies"] if spec != base]
     rows = []
     for prog in programs:
-        cfg = compile_program(prog.source)
-        start = time.perf_counter()
-        combined = analyze_program(cfg, dom, max_evals=max_evals)
-        classical = analyze_program_twophase(cfg, dom, max_evals=max_evals)
-        elapsed = time.perf_counter() - start
-        cmp_ = compare_results(combined, classical)
+        baseline = cells[prog.name, base]
+        combined = cells[prog.name, warrow]
         rows.append(
             Fig7Row(
                 name=prog.name,
                 loc=prog.loc,
-                improved=cmp_.better,
-                total=cmp_.total,
-                worse=cmp_.worse,
-                seconds=elapsed,
+                improved=combined["better"],
+                total=combined["total"],
+                worse=combined["worse"],
+                seconds=baseline["wall_time"] + combined["wall_time"],
             )
         )
     return Fig7Result(rows)
@@ -126,28 +134,6 @@ class Table1Row:
     nocontext_warrow: Table1Cell
     context_widen: Table1Cell
     context_warrow: Table1Cell
-
-
-def _solve_config(
-    cfg, policy: ContextPolicy, use_warrow: bool, max_evals: int
-) -> Table1Cell:
-    dom = IntervalDomain()
-    analysis = InterAnalysis(cfg, dom, policy)
-    if use_warrow:
-        op = WarrowCombine(analysis.lattice, delay=1)
-    else:
-        op = WidenCombine(analysis.lattice, delay=1)
-    solve = get_solver("slr+", side_effecting=True)
-    start = time.perf_counter()
-    result = solve(
-        analysis.system(), op, analysis.root(), max_evals=max_evals
-    )
-    elapsed = time.perf_counter() - start
-    return Table1Cell(
-        seconds=elapsed,
-        unknowns=result.stats.unknowns,
-        evaluations=result.stats.evaluations,
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -229,26 +215,33 @@ def run_table1(
     reports solver time and the number of encountered unknowns, exactly
     the columns of the paper's table.  The context-sensitive variant uses
     the sign projection of the parameters (the analogue of the paper's
-    "all non-interval values of locals").
+    "all non-interval values of locals").  Each cell is a batch job;
+    its time covers the solve, not the set-up.
     """
-    dom = IntervalDomain()
     rows = []
     for prog in SPEC_PROGRAMS:
         if names is not None and prog.name not in names:
             continue
-        source = prog.source
-        cfg = compile_program(source)
-        loc = sum(1 for line in source.splitlines() if line.strip())
-        insensitive = InsensitiveContext()
-        sensitive = sign_context(dom)
-        rows.append(
-            Table1Row(
-                name=prog.name,
-                loc=loc,
-                nocontext_widen=_solve_config(cfg, insensitive, False, max_evals),
-                nocontext_warrow=_solve_config(cfg, insensitive, True, max_evals),
-                context_widen=_solve_config(cfg, sensitive, False, max_evals),
-                context_warrow=_solve_config(cfg, sensitive, True, max_evals),
-            )
-        )
+        cells = []
+        for context in ("insensitive", "sign"):
+            for op in ("widen", "warrow"):
+                setup = configure(
+                    JobSpec(
+                        id=f"table1/{prog.name}/{context}/{op}",
+                        family="table1",
+                        program=prog.name,
+                        source=prog.source,
+                        context=context,
+                        op=op,
+                        max_evals=max_evals,
+                    )
+                )
+                start = time.perf_counter()
+                stats = solve(setup).stats
+                elapsed = time.perf_counter() - start
+                cells.append(
+                    Table1Cell(elapsed, stats.unknowns, stats.evaluations)
+                )
+        loc = sum(1 for line in prog.source.splitlines() if line.strip())
+        rows.append(Table1Row(prog.name, loc, *cells))
     return rows

@@ -448,7 +448,7 @@ def _bench_matrix(args) -> int:
         render_matrix,
         run_matrix,
         validate_matrix,
-        write_matrix,
+        write_bench,
     )
 
     try:
@@ -487,19 +487,19 @@ def _bench_matrix(args) -> int:
         return 4
     print(render_matrix(doc))
     out = args.out or f"MATRIX_{revision}.json"
-    write_matrix(doc, out)
+    write_bench(doc, out)
     print(f"wrote {out}")
     if args.update_baseline:
-        write_matrix(doc, args.update_baseline)
+        write_bench(doc, args.update_baseline)
         print(f"baseline refreshed: {args.update_baseline}")
     worst = 0 if doc["totals"]["failed"] == 0 else 1
     if args.compare:
         import json
 
-        from repro.batch import compare_matrices, load_matrix
+        from repro.batch import MATRIX_FORMAT, compare_matrices, load_bench
 
         try:
-            baseline = load_matrix(args.compare)
+            baseline = load_bench(args.compare, validate_matrix, MATRIX_FORMAT)
         except (OSError, ValueError, json.JSONDecodeError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

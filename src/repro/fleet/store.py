@@ -12,8 +12,8 @@ repeat request as a hit.
 Consistency rules (see ``docs/fleet.md``):
 
 * **entries are immutable and atomic** -- one JSON file per content key
-  under ``entries/``, written via tempfile + ``os.replace`` (the same
-  idiom as the cache index and the journal), so a reader sees either a
+  under ``entries/``, written via :func:`~repro.atomicfile.write_atomic`
+  (as the cache index and the journal are), so a reader sees either a
   complete entry or none.  Keys are content addresses
   (:func:`~repro.batch.jobs.spec_fingerprint`), so two writers racing on
   one key are by construction writing equivalent verified results --
@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import List, Optional
 
+from repro.atomicfile import write_atomic
 from repro.service.cache import CacheEntry
 
 #: Format marker stamped into every entry file.
@@ -146,20 +146,7 @@ class SharedStore:
             sort_keys=True,
             separators=(",", ":"),
         )
-        path = self._entry_path(entry.key)
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{entry.key[:12]}.", dir=self._entries_dir
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self._entry_path(entry.key), payload)
         marker_dir = self._marker_dir(entry.options)
         os.makedirs(marker_dir, exist_ok=True)
         marker = os.path.join(marker_dir, entry.key)

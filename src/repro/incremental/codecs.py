@@ -6,10 +6,10 @@ turning two kinds of objects into JSON and back:
 * **lattice values** -- intervals, ``N | {oo}`` elements, abstract
   environments, tagged-union elements, ...  The codec for a value is
   *derived from the lattice* that owns it: :func:`value_codec` walks the
-  lattice's structure (``Lifted`` wraps an inner lattice, ``MapLattice``
-  has a value lattice per key, ``TaggedUnionLattice`` has one branch per
-  tag) and composes the leaf codecs accordingly.  Custom domains hook in
-  via :func:`register_value_codec`.
+  lattice's structure (``Lifted`` wraps an inner lattice,
+  ``ArrayEnvLattice`` has a value lattice per key, ``TaggedUnionLattice``
+  has one branch per tag) and composes the leaf codecs accordingly.
+  Custom domains hook in via :func:`register_value_codec`.
 * **unknowns** -- strings and integers for the toy systems, CFG
   :class:`~repro.lang.cfg.Node` values for the intraprocedural analysis,
   ``PP``/``GV`` records for the interprocedural one, and pairs thereof
@@ -164,28 +164,31 @@ def _congruence_codec(_lat) -> ValueCodec:
 
 
 def _map_codec(lat) -> ValueCodec:
-    from repro.lattices.envlat import ArrayEnv
-    from repro.lattices.maplat import FrozenMap
+    """Environments as ``{key: value}`` objects, keys sorted by name.
+
+    An environment over the lattice's own keys decodes into its schema;
+    one over other keys (a function whose layout changed since the
+    snapshot) decodes over its own keys.
+    """
+    from repro.lattices.envlat import ArrayEnv, EnvSchema
 
     inner = value_codec(lat.value_lattice)
-    encode = inner.encode
-    schema = getattr(lat, "schema", None)
-    if schema is not None:
-        # The lattice's own elements are encoded through their slots, in
-        # the key order every other mapping is sorted into per value.
-        order = sorted(
-            ((str(k), i) for i, k in enumerate(schema.keys)),
-            key=lambda pair: pair[0],
-        )
+    encode, decode = inner.encode, inner.decode
+    schema = lat.schema
+    names = [str(k) for k in schema.keys]
+    own = set(names)
+    order = sorted((name, i) for i, name in enumerate(names))
 
     def enc(v):
-        if schema is not None and type(v) is ArrayEnv and v.schema is schema:
+        if v.schema is schema:
             values = v.values_tuple
             return {name: encode(values[i]) for name, i in order}
         return {str(k): encode(v[k]) for k in sorted(v, key=str)}
 
     def dec(j):
-        return FrozenMap({k: inner.decode(x) for k, x in j.items()})
+        if j.keys() == own:
+            return ArrayEnv(schema, [decode(j[name]) for name in names])
+        return ArrayEnv(EnvSchema(j), map(decode, j.values()))
 
     return ValueCodec(enc, dec)
 
@@ -298,10 +301,10 @@ def value_codec(lattice: Lattice) -> ValueCodec:
 def _install_builtin_codecs() -> None:
     from repro.lattices.boollat import BoolLattice
     from repro.lattices.congruence import CongruenceLattice
+    from repro.lattices.envlat import ArrayEnvLattice
     from repro.lattices.flat import Flat
     from repro.lattices.interval import IntervalLattice
     from repro.lattices.lifted import Lifted
-    from repro.lattices.maplat import MapLattice
     from repro.lattices.natinf import NatInf
     from repro.lattices.parity import Parity
     from repro.lattices.powerset import PowersetLattice
@@ -317,7 +320,7 @@ def _install_builtin_codecs() -> None:
     register_value_codec(Parity, _frozenset_codec)
     register_value_codec(PowersetLattice, _frozenset_codec)
     register_value_codec(CongruenceLattice, _congruence_codec)
-    register_value_codec(MapLattice, _map_codec)
+    register_value_codec(ArrayEnvLattice, _map_codec)
     register_value_codec(Lifted, _lifted_codec)
     register_value_codec(TaggedUnionLattice, _union_codec)
     register_value_codec(ProductLattice, _product_codec)
@@ -340,8 +343,8 @@ class UnknownCodec:
     Plain strings encode as themselves; every other shape becomes a
     tagged JSON list: integers, ``None``, booleans, tuples (recursively,
     covering SLR+ contribution pairs and value contexts), CFG nodes,
-    interprocedural ``PP``/``GV`` unknowns, intervals and frozensets
-    (which occur inside calling contexts), and frozen maps.
+    interprocedural ``PP``/``GV`` unknowns, and intervals and frozensets
+    (which occur inside calling contexts).
     """
 
     def encode(self, u) -> Any:
@@ -368,16 +371,6 @@ class UnknownCodec:
             return ["iv", _encode_bound(u.lo), _encode_bound(u.hi)]
         if isinstance(u, frozenset):
             return ["fs", sorted((self.encode(x) for x in u), key=repr)]
-        from repro.lattices.maplat import FrozenMap
-
-        if isinstance(u, FrozenMap):
-            return [
-                "fm",
-                [
-                    [self.encode(k), self.encode(v)]
-                    for k, v in sorted(u.items(), key=lambda kv: str(kv[0]))
-                ],
-            ]
         raise CodecError(f"unsupported unknown {u!r} of type {type_name}")
 
     def decode(self, j) -> Any:
@@ -410,8 +403,4 @@ class UnknownCodec:
             return Interval(_decode_bound(j[1]), _decode_bound(j[2]))
         if kind == "fs":
             return frozenset(self.decode(x) for x in j[1])
-        if kind == "fm":
-            from repro.lattices.maplat import FrozenMap
-
-            return FrozenMap({self.decode(k): self.decode(v) for k, v in j[1]})
         raise CodecError(f"unsupported encoded unknown {j!r}")

@@ -16,7 +16,7 @@ The domains shipped here cover everything the paper needs:
 * :mod:`~repro.lattices.flat`, :mod:`~repro.lattices.sign`,
   :mod:`~repro.lattices.parity`, :mod:`~repro.lattices.boollat`,
   :mod:`~repro.lattices.powerset` -- finite-height building blocks;
-* :mod:`~repro.lattices.product`, :mod:`~repro.lattices.maplat`,
+* :mod:`~repro.lattices.product`, :mod:`~repro.lattices.envlat`,
   :mod:`~repro.lattices.lifted` -- combinators;
 * :mod:`~repro.lattices.widening` -- widening/narrowing *combinators*
   (delayed widening, threshold widening, k-bounded degrading narrowing).
@@ -29,7 +29,6 @@ from repro.lattices.envlat import ArrayEnv, ArrayEnvLattice, EnvSchema
 from repro.lattices.flat import Flat, FlatTop, FlatBot
 from repro.lattices.interval import Interval, IntervalLattice, NEG_INF, POS_INF
 from repro.lattices.lifted import Lifted, LiftedBottom
-from repro.lattices.maplat import MapLattice
 from repro.lattices.natinf import NatInf, INF
 from repro.lattices.parity import Parity
 from repro.lattices.powerset import PowersetLattice
@@ -59,7 +58,6 @@ __all__ = [
     "POS_INF",
     "Lifted",
     "LiftedBottom",
-    "MapLattice",
     "NatInf",
     "INF",
     "Parity",

@@ -1,31 +1,29 @@
-"""Array-backed abstract environments -- the engine's hot-path map type.
+"""Abstract environments: total maps ``K -> D`` over a fixed key set.
 
 Abstract environments (variable -> value maps over a *fixed*, per-function
 key set) dominate the solver hot path: every right-hand-side evaluation
-builds several of them, and every commit compares two point-wise.  The
-generic :class:`~repro.lattices.maplat.FrozenMap` pays a dict per element
-and a hash lookup per key access; this module stores one shared
-:class:`EnvSchema` (key -> slot index) per lattice and each element as a
-plain value tuple, so
+builds several of them, and every commit compares two point-wise.  Each
+:class:`ArrayEnvLattice` holds one shared :class:`EnvSchema` (key -> slot
+index) and each element is an :class:`ArrayEnv`, a plain value tuple read
+through the schema, so
 
 * point-wise ``leq``/``join``/``meet``/``widen``/``narrow``/``equal``
   run as straight tuple zips with no per-key hashing,
 * ``bottom``/``top`` are cached singletons, which makes the engine's
   identity fast paths (``a is b``) actually fire,
-* elements stay :class:`FrozenMap` instances (``ArrayEnv`` subclasses
-  it), so every consumer of the mapping interface -- the incremental
-  codecs' ``isinstance`` checks, context policies, formatting -- keeps
-  working, and hashes/equality agree with plain ``FrozenMap`` values of
-  the same bindings (decoded snapshots interoperate with live values).
+* hashes and equality are those of the binding set, so environments of
+  two schemas over the same keys (a snapshot taken by one analysis and
+  resumed by another) are equal, hash alike, and mix in the lattice
+  operations, which read an environment of another schema by key.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from operator import is_
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 from repro.lattices.base import Lattice, LatticeError
-from repro.lattices.maplat import FrozenMap, MapLattice
 
 
 class EnvSchema:
@@ -37,32 +35,24 @@ class EnvSchema:
         self.keys = tuple(dict.fromkeys(keys))
         self.index = {k: i for i, k in enumerate(self.keys)}
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
     def __repr__(self) -> str:
         return f"EnvSchema({list(self.keys)!r})"
 
 
-class ArrayEnv(FrozenMap):
-    """A fixed-schema environment backed by a value tuple.
+class ArrayEnv(Mapping):
+    """An immutable, hashable environment backed by a value tuple.
 
-    Subclasses :class:`FrozenMap` so type checks, equality and hashing
-    interoperate with ordinary frozen maps of the same bindings; the
-    inherited ``_data`` dict slot is replaced by a property that
-    materialises on demand (only non-hot-path consumers touch it).
+    Equality and hashing are by bindings: an environment equals one of
+    another schema, or a plain mapping, that binds the same keys to the
+    same values.
     """
 
-    __slots__ = ("_schema", "_values")
+    __slots__ = ("_schema", "_values", "_hash")
 
     def __init__(self, schema: EnvSchema, values: Iterable) -> None:
         self._schema = schema
         self._values = tuple(values)
         self._hash = None
-
-    @property
-    def _data(self) -> dict:
-        return dict(zip(self._schema.keys, self._values))
 
     @property
     def schema(self) -> EnvSchema:
@@ -80,24 +70,25 @@ class ArrayEnv(FrozenMap):
         return iter(self._schema.keys)
 
     def __len__(self) -> int:
-        return len(self._schema.keys)
+        return len(self._values)
 
     def __hash__(self) -> int:
-        # Must agree with FrozenMap: hash of the binding set.
         if self._hash is None:
-            object.__setattr__(
-                self,
-                "_hash",
-                hash(frozenset(zip(self._schema.keys, self._values))),
-            )
+            self._hash = hash(frozenset(zip(self._schema.keys, self._values)))
         return self._hash
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ArrayEnv):
             if other._schema is self._schema:
                 return self._values == other._values
-            return self._data == other._data
+            return dict(self.items()) == dict(other.items())
         return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        items = sorted(
+            zip(self._schema.keys, self._values), key=lambda kv: str(kv[0])
+        )
+        return "{" + ", ".join(f"{k!r}: {v!r}" for k, v in items) + "}"
 
     def set(self, key, value) -> "ArrayEnv":
         """Return a copy with ``key`` bound to ``value``."""
@@ -114,24 +105,40 @@ class ArrayEnv(FrozenMap):
         return ArrayEnv(self._schema, values)
 
 
-class ArrayEnvLattice(MapLattice):
-    """Point-wise lattice over :class:`ArrayEnv` elements.
+class ArrayEnvLattice(Lattice[ArrayEnv]):
+    """Point-wise lattice of total maps from a finite key set into ``value``.
 
-    A drop-in for :class:`MapLattice` (it *is* one, so the incremental
-    layer's structural codec lookup keeps matching); all operations also
-    accept plain mappings -- e.g. ``FrozenMap`` values decoded from a
-    snapshot -- and normalise them through the schema.
+    The operations take :class:`ArrayEnv` elements; one of another schema
+    over the same keys is read by key.  Every result that is not one of
+    the arguments is an element of this lattice's schema.
     """
 
     def __init__(self, keys: Iterable[Hashable], value: Lattice) -> None:
-        super().__init__(keys, value)
-        self._schema = EnvSchema(self._keys)
+        """Create the lattice with the given fixed ``keys``.
+
+        :param keys: the finite key set; every element binds all of them.
+        :param value: the co-domain lattice.
+        """
+        self._schema = EnvSchema(keys)
+        self._keys = self._schema.keys
+        self._value = value
+        self.name = f"map->{value.name}"
         # A value lattice that keeps the inherited ``equal`` (plain
         # ``==``) lets ``equal`` compare whole value tuples in C.
         self._tuple_equal = type(value).equal is Lattice.equal
-        n = len(self._schema)
+        n = len(self._keys)
         self._bottom = ArrayEnv(self._schema, [value.bottom] * n)
         self._top = ArrayEnv(self._schema, [value.top] * n)
+
+    @property
+    def keys(self) -> tuple:
+        """The fixed key set, in declaration order."""
+        return self._keys
+
+    @property
+    def value_lattice(self) -> Lattice:
+        """The co-domain lattice."""
+        return self._value
 
     @property
     def schema(self) -> EnvSchema:
@@ -147,25 +154,23 @@ class ArrayEnvLattice(MapLattice):
 
     def make(self, bindings: Mapping) -> ArrayEnv:
         """An element from a key -> value mapping (must cover the schema)."""
-        return ArrayEnv(
-            self._schema, (bindings[k] for k in self._schema.keys)
-        )
+        return ArrayEnv(self._schema, (bindings[k] for k in self._keys))
 
-    def _vals(self, a) -> tuple:
-        if isinstance(a, ArrayEnv) and a._schema is self._schema:
+    def _vals(self, a: ArrayEnv) -> tuple:
+        if a._schema is self._schema:
             return a._values
-        return tuple(a[k] for k in self._keys)
+        return tuple(map(a.__getitem__, self._keys))
 
-    def _pointwise(self, op, a, b) -> ArrayEnv:
+    def _pointwise(self, op, a: ArrayEnv, b: ArrayEnv) -> ArrayEnv:
         """``op`` slot by slot, as ``a`` or ``b`` itself when every slot
         of the result is that argument's own slot object.
 
-        Only elements of this lattice are reused, so the result is an
-        :class:`ArrayEnv` of this schema either way.
+        Only elements of this schema are reused, so the result is an
+        element of this schema either way.
         """
         schema = self._schema
-        own_a = isinstance(a, ArrayEnv) and a._schema is schema
-        own_b = isinstance(b, ArrayEnv) and b._schema is schema
+        own_a = a._schema is schema
+        own_b = b._schema is schema
         va = a._values if own_a else self._vals(a)
         vb = b._values if own_b else self._vals(b)
         values = tuple(map(op, va, vb))
@@ -175,7 +180,7 @@ class ArrayEnvLattice(MapLattice):
             return b
         return ArrayEnv(schema, values)
 
-    def leq(self, a, b) -> bool:
+    def leq(self, a: ArrayEnv, b: ArrayEnv) -> bool:
         if a is b:
             return True
         vleq = self._value.leq
@@ -184,35 +189,39 @@ class ArrayEnvLattice(MapLattice):
                 return False
         return True
 
-    def equal(self, a, b) -> bool:
+    def equal(self, a: ArrayEnv, b: ArrayEnv) -> bool:
         if a is b:
             return True
         if self._tuple_equal:
             return self._vals(a) == self._vals(b)
         return all(map(self._value.equal, self._vals(a), self._vals(b)))
 
-    def join(self, a, b) -> ArrayEnv:
+    def join(self, a: ArrayEnv, b: ArrayEnv) -> ArrayEnv:
         if a is b:
-            return a if isinstance(a, ArrayEnv) else self.make(a)
+            return a
         return self._pointwise(self._value.join, a, b)
 
-    def meet(self, a, b) -> ArrayEnv:
+    def meet(self, a: ArrayEnv, b: ArrayEnv) -> ArrayEnv:
         if a is b:
-            return a if isinstance(a, ArrayEnv) else self.make(a)
+            return a
         return self._pointwise(self._value.meet, a, b)
 
-    def widen(self, a, b) -> ArrayEnv:
+    def widen(self, a: ArrayEnv, b: ArrayEnv) -> ArrayEnv:
         return self._pointwise(self._value.widen, a, b)
 
-    def narrow(self, a, b) -> ArrayEnv:
+    def narrow(self, a: ArrayEnv, b: ArrayEnv) -> ArrayEnv:
         return self._pointwise(self._value.narrow, a, b)
 
-    def validate(self, a) -> None:
-        if not isinstance(a, Mapping):
-            raise LatticeError(f"{a!r} is not a mapping")
+    def validate(self, a: ArrayEnv) -> None:
+        if not isinstance(a, ArrayEnv):
+            raise LatticeError(f"{a!r} is not an environment")
         if set(a) != set(self._keys):
             raise LatticeError(
                 f"keys {sorted(map(str, a))} do not match lattice keys"
             )
         for k in self._keys:
             self._value.validate(a[k])
+
+    def format(self, a: ArrayEnv) -> str:
+        parts = (f"{k}: {self._value.format(a[k])}" for k in self._keys)
+        return "{" + ", ".join(parts) + "}"

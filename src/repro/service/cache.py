@@ -30,12 +30,12 @@ Operational behaviour:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
+
+from repro.atomicfile import write_atomic
 
 #: Format marker of the persisted cache index.
 FORMAT = "repro-service-cache/1"
@@ -237,21 +237,7 @@ class ResultCache:
             "format": FORMAT,
             "entries": [e.to_json() for e in self._entries.values()],
         }
-        payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(
-            prefix=os.path.basename(path) + ".", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")))
         return len(self._entries)
 
     def load(self, path: str) -> int:

@@ -12,8 +12,8 @@ append-only NDJSON file, written at admission and settled at response.
   through the normal pipeline and land its result in the cache.
 * ``end`` records settle a begin by request id.  The file is never
   edited in place -- crash-safety comes from append-only writes plus
-  atomic whole-file compaction (tempfile + ``os.replace``, the same
-  idiom as :meth:`repro.service.cache.ResultCache.save`).
+  atomic whole-file compaction (:func:`repro.atomicfile.write_atomic`,
+  as in :meth:`repro.service.cache.ResultCache.save`).
 
 On open, the journal replays the file: begins without a matching end
 are the requests a previous process died holding; they are surfaced via
@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Dict, List, Optional
+
+from repro.atomicfile import write_atomic
 
 #: Format marker stamped into every record.
 FORMAT = "repro-service-journal/1"
@@ -111,21 +112,7 @@ class InflightJournal:
         if self._stream is not None:
             self._stream.close()
             self._stream = None
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for record in records:
-                    handle.write(self._dumps(record))
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path, "".join(map(self._dumps, records)))
         self._stream = open(self.path, "a", encoding="utf-8")
         self._lines = len(records)
 

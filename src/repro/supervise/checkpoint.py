@@ -19,10 +19,9 @@ short -- instead of restarting from bottom.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from typing import List, Optional
 
+from repro.atomicfile import write_atomic
 from repro.incremental.state import SolverState, capture_engine
 from repro.solvers.engine.events import SolverObserver
 
@@ -97,30 +96,13 @@ class Checkpointer(SolverObserver):
         return state
 
     def write(self, state: SolverState) -> None:
-        """Serialize ``state`` to :attr:`path`, atomically.
-
-        The JSON is written to a temporary file in the target directory
-        and renamed over the target with :func:`os.replace`, which is
-        atomic on POSIX and Windows: a reader (or a crash) observes
-        either the old checkpoint or the new one in full.
+        """Serialize ``state`` to :attr:`path`, atomically
+        (:func:`~repro.atomicfile.write_atomic`): a reader (or a crash)
+        observes either the old checkpoint or the new one in full.
         """
         if self.path is None:
             raise RuntimeError("checkpointer has no target path")
-        payload = state.dumps(self.engine.lattice)
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path, state.dumps(self.engine.lattice))
         self.written += 1
 
 

@@ -20,15 +20,15 @@ from repro.lang.cfg import (
     SetLocal,
     StoreArray,
 )
+from repro.lattices.envlat import ArrayEnv
 from repro.lattices.lifted import LiftedBottom
-from repro.lattices.maplat import FrozenMap
 
 
 # --------------------------------------------------------------------- #
 # Expression evaluation.                                                #
 # --------------------------------------------------------------------- #
 
-def eval_expr(tc: TransferContext, env: FrozenMap, expr: ast.Expr):
+def eval_expr(tc: TransferContext, env: ArrayEnv, expr: ast.Expr):
     """Evaluate a call-free expression to an abstract value."""
     dom = tc.domain
     if isinstance(expr, ast.IntLit):
@@ -79,7 +79,7 @@ def refine(tc: TransferContext, env, cond: ast.Expr, assume: bool):
 
 
 def _refine_structural(
-    tc: TransferContext, env: FrozenMap, cond: ast.Expr, assume: bool
+    tc: TransferContext, env: ArrayEnv, cond: ast.Expr, assume: bool
 ):
     dom = tc.domain
     if isinstance(cond, ast.Unary) and cond.op == "!":

@@ -16,11 +16,12 @@ from repro.analysis.transfer import (
 from repro.analysis.values import IntervalDomain
 from repro.lang.cfg import CallInstr, Guard, Nop, SetLocal, StoreArray
 from repro.lang.parser import parse_expr
+from repro.lattices.envlat import ArrayEnvLattice
 from repro.lattices.interval import Interval, const
 from repro.lattices.lifted import LiftedBottom
-from repro.lattices.maplat import FrozenMap
 
 dom = IntervalDomain()
+env_lat = ArrayEnvLattice(("x", "y", "a"), dom)
 
 
 def make_tc(globals_map=None):
@@ -44,7 +45,7 @@ def make_tc(globals_map=None):
 def env_of(**values):
     base = {"x": const(0), "y": const(0), "a": const(0)}
     base.update(values)
-    return FrozenMap(base)
+    return env_lat.make(base)
 
 
 class TestEvalExpr:

@@ -8,11 +8,11 @@ import pytest
 
 from repro.batch import (
     MATRIX_FORMAT,
-    load_matrix,
+    load_bench,
     render_matrix,
     run_matrix,
     validate_matrix,
-    write_matrix,
+    write_bench,
 )
 from repro.batch.matrix import resolve_matrix_strategies
 from repro.strategies import SpecError, UnknownStrategyError
@@ -118,15 +118,15 @@ class TestRunMatrix:
 
 class TestPersistence:
     def test_write_load_round_trip(self, doc, tmp_path):
-        path = write_matrix(doc, tmp_path / "m.json")
-        assert load_matrix(path) == doc
+        path = write_bench(doc, tmp_path / "m.json")
+        assert load_bench(path, validate_matrix, MATRIX_FORMAT) == doc
 
     def test_load_rejects_corrupted_documents(self, doc, tmp_path):
         bad = copy.deepcopy(doc)
         bad["format"] = "something-else"
-        path = write_matrix(bad, tmp_path / "bad.json")
-        with pytest.raises(ValueError, match="not a valid"):
-            load_matrix(path)
+        path = write_bench(bad, tmp_path / "bad.json")
+        with pytest.raises(ValueError, match=f"not a valid {MATRIX_FORMAT}"):
+            load_bench(path, validate_matrix, MATRIX_FORMAT)
 
     def test_validate_spots_missing_cell_fields(self, doc):
         bad = copy.deepcopy(doc)

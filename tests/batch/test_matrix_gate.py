@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 
-from repro.batch import MatrixComparison, compare_matrices
+from repro.batch import BenchComparison, compare_matrices
 
 
 def cell(program="p", strategy="warrow:delay=1", **overrides):
@@ -70,7 +70,8 @@ def doc():
 class TestClean:
     def test_identical_documents_pass(self):
         report = compare_matrices(doc(), doc())
-        assert isinstance(report, MatrixComparison)
+        assert isinstance(report, BenchComparison)
+        assert report.label == "matrix"
         assert report.ok
         assert report.regressions == []
 
@@ -179,14 +180,14 @@ class TestCommittedBaseline:
     def test_committed_baseline_is_schema_valid(self):
         from pathlib import Path
 
-        from repro.batch import load_matrix
+        from repro.batch import MATRIX_FORMAT, load_bench, validate_matrix
 
         path = (
             Path(__file__).resolve().parent.parent.parent
             / "benchmarks"
             / "matrix_baseline.json"
         )
-        baseline = load_matrix(path)
+        baseline = load_bench(path, validate_matrix, MATRIX_FORMAT)
         assert compare_matrices(baseline, baseline).ok
         warrow = next(
             row

@@ -18,6 +18,17 @@ class TestFig7Harness:
         assert by["qsort-exam"].improved == 0
         assert by["bs"].improved > 0
 
+    def test_pinned_rows(self):
+        """(improved, total, worse) per bar, as the harness produced them
+        when it still ran both analyses itself."""
+        result = run_fig7(names=["fibcall", "qsort-exam", "bs"])
+        rows = {r.name: (r.improved, r.total, r.worse) for r in result.rows}
+        assert rows == {
+            "fibcall": (0, 19, 0),
+            "qsort-exam": (0, 49, 0),
+            "bs": (31, 45, 0),
+        }
+
     def test_weighted_average(self):
         result = Fig7Result(
             rows=[
@@ -42,6 +53,23 @@ class TestTable1Harness:
         assert row.nocontext_widen.unknowns > 0
         assert row.context_widen.unknowns >= row.nocontext_widen.unknowns
         assert row.nocontext_widen.seconds >= 0
+
+    def test_pinned_counts(self):
+        """Unknowns and evaluations per configuration, as the harness
+        produced them when it built its solvers itself."""
+        (row,) = run_table1(names=["470.lbm"])
+        cells = (
+            row.nocontext_widen,
+            row.nocontext_warrow,
+            row.context_widen,
+            row.context_warrow,
+        )
+        assert [(c.unknowns, c.evaluations) for c in cells] == [
+            (112, 585),
+            (112, 665),
+            (238, 995),
+            (238, 1136),
+        ]
 
     def test_render(self):
         rows = run_table1(names=["470.lbm"])

@@ -6,11 +6,11 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
 from repro.lattices import (
+    ArrayEnvLattice,
     BoolLattice,
     Flat,
     IntervalLattice,
     Interval,
-    MapLattice,
     NatInf,
     NEG_INF,
     POS_INF,
@@ -19,7 +19,6 @@ from repro.lattices import (
     ProductLattice,
     Sign,
 )
-from repro.lattices.maplat import FrozenMap
 
 settings.register_profile(
     "default",
@@ -140,7 +139,7 @@ def lattice_cases() -> list:
 
     interval = IntervalLattice()
     product = ProductLattice([NatInf(), Sign()])
-    mapping = MapLattice(["x", "y"], interval)
+    mapping = ArrayEnvLattice(["x", "y"], interval)
     union = TaggedUnionLattice({"n": NatInf(), "s": Sign()})
     return [
         (NatInf(), natinf_elements()),
@@ -158,7 +157,7 @@ def lattice_cases() -> list:
             mapping,
             st.fixed_dictionaries(
                 {"x": interval_elements(), "y": interval_elements()}
-            ).map(FrozenMap),
+            ).map(mapping.make),
         ),
         (CongruenceLattice(), congruence_elements()),
         (Lifted(IntervalLattice()), lifted_elements()),

@@ -19,13 +19,13 @@ from repro.lattices import (
     INF,
     NEG_INF,
     POS_INF,
+    ArrayEnvLattice,
     BoolLattice,
     CongruenceLattice,
     Flat,
     Interval,
     IntervalLattice,
     Lifted,
-    MapLattice,
     NatInf,
     Parity,
     PowersetLattice,
@@ -85,16 +85,15 @@ class TestScalarLattices:
 
 class TestCompositeLattices:
     def test_map(self):
-        from repro.lattices.maplat import FrozenMap
-
         iv = IntervalLattice()
-        lat = MapLattice(("x", "y"), iv)
-        env = FrozenMap({"x": Interval(1, 2), "y": iv.bottom})
+        lat = ArrayEnvLattice(("x", "y"), iv)
+        env = lat.make({"x": Interval(1, 2), "y": iv.bottom})
         assert_roundtrips(lat, [lat.bottom, env, lat.top])
+        assert roundtrip(lat, env).schema is lat.schema
 
     def test_lifted(self):
         iv = IntervalLattice()
-        lat = Lifted(MapLattice(("x",), iv))
+        lat = Lifted(ArrayEnvLattice(("x",), iv))
         assert_roundtrips(lat, [lat.bottom, lat.top])
 
     def test_product(self):

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lattices import BoolLattice, IntervalLattice, NatInf, Parity, Sign
+from repro.lattices import (
+    ArrayEnv,
+    BoolLattice,
+    EnvSchema,
+    IntervalLattice,
+    NatInf,
+    Parity,
+    Sign,
+)
 from repro.lattices.base import LatticeError
 from repro.lattices.interval import widen_sequence, Interval
-from repro.lattices.maplat import FrozenMap
 
 
 class TestFiniteLatticeHeight:
@@ -48,20 +55,20 @@ class TestWidenSequence:
 
 class TestFrozenMapHelpers:
     def test_set_many(self):
-        base = FrozenMap({"a": 1, "b": 2})
+        base = ArrayEnv(EnvSchema("abc"), (1, 2, 3))
         out = base.set_many({"b": 20, "c": 30})
         assert dict(out) == {"a": 1, "b": 20, "c": 30}
-        assert dict(base) == {"a": 1, "b": 2}
+        assert dict(base) == {"a": 1, "b": 2, "c": 3}
 
     def test_equality_with_plain_mapping(self):
-        assert FrozenMap({"a": 1}) == {"a": 1}
-        assert FrozenMap({"a": 1}) != {"a": 2}
+        assert ArrayEnv(EnvSchema("a"), (1,)) == {"a": 1}
+        assert ArrayEnv(EnvSchema("a"), (1,)) != {"a": 2}
 
     def test_repr_is_sorted(self):
-        assert repr(FrozenMap({"b": 2, "a": 1})) == "{'a': 1, 'b': 2}"
+        assert repr(ArrayEnv(EnvSchema("ba"), (2, 1))) == "{'a': 1, 'b': 2}"
 
     def test_hash_consistency_after_set(self):
-        a = FrozenMap({"x": 1})
+        a = ArrayEnv(EnvSchema("x"), (1,))
         b = a.set("x", 1)
         assert a == b and hash(a) == hash(b)
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.lattices import (
+    ArrayEnvLattice,
     DelayedWidening,
     Interval,
     IntervalLattice,
     Lifted,
     LiftedBottom,
-    MapLattice,
     NarrowToMeet,
     NatInf,
     ProductLattice,
@@ -22,7 +22,6 @@ from repro.lattices import (
 )
 from repro.lattices.base import LatticeError
 from repro.lattices.interval import const
-from repro.lattices.maplat import FrozenMap
 
 iv = IntervalLattice()
 
@@ -56,7 +55,7 @@ class TestProduct:
 
 
 class TestMapLattice:
-    env = MapLattice(["x", "y"], iv)
+    env = ArrayEnvLattice(["x", "y"], iv)
 
     def test_bottom_and_top(self):
         bot = self.env.bottom
@@ -65,32 +64,34 @@ class TestMapLattice:
         assert top["x"] == Interval(NEG_INF, POS_INF)
 
     def test_pointwise_join(self):
-        a = FrozenMap({"x": const(1), "y": None})
-        b = FrozenMap({"x": const(3), "y": const(0)})
+        a = self.env.make({"x": const(1), "y": None})
+        b = self.env.make({"x": const(3), "y": const(0)})
         j = self.env.join(a, b)
         assert j["x"] == Interval(1, 3)
         assert j["y"] == const(0)
 
     def test_frozen_map_is_hashable_and_value_equal(self):
-        a = FrozenMap({"x": const(1), "y": None})
-        b = FrozenMap({"y": None, "x": const(1)})
+        a = self.env.make({"x": const(1), "y": None})
+        b = ArrayEnvLattice(["y", "x"], iv).make({"y": None, "x": const(1)})
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
     def test_set_returns_new_map(self):
-        a = FrozenMap({"x": const(1), "y": None})
+        a = self.env.make({"x": const(1), "y": None})
         b = a.set("x", const(2))
         assert a["x"] == const(1)
         assert b["x"] == const(2)
 
     def test_validate_requires_exact_keys(self):
         with pytest.raises(LatticeError):
-            self.env.validate(FrozenMap({"x": const(1)}))
+            self.env.validate(ArrayEnvLattice(["x"], iv).make({"x": const(1)}))
+        with pytest.raises(LatticeError):
+            self.env.validate({"x": const(1), "y": None})
 
     def test_widen_pointwise(self):
-        a = FrozenMap({"x": Interval(0, 1), "y": None})
-        b = FrozenMap({"x": Interval(0, 2), "y": None})
+        a = self.env.make({"x": Interval(0, 1), "y": None})
+        b = self.env.make({"x": Interval(0, 2), "y": None})
         w = self.env.widen(a, b)
         assert w["x"] == Interval(0, POS_INF)
 

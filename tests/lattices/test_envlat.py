@@ -1,7 +1,10 @@
-"""Array-backed environment lattices: interop with FrozenMap, codecs,
-and the lattice laws the hot-path rewrite must preserve."""
+"""Abstract environments: equality and hashing by bindings, the mapping
+interface, codecs, and the point-wise laws checked against a dict-based
+reference lattice."""
 
 from __future__ import annotations
+
+from collections.abc import Hashable, Mapping
 
 import hypothesis.strategies as st
 import pytest
@@ -14,13 +17,12 @@ from repro.lattices import (
     EnvSchema,
     Interval,
     IntervalLattice,
-    MapLattice,
 )
 from repro.lattices.base import Lattice
 from repro.lattices.interval import const
-from repro.lattices.maplat import FrozenMap
 from repro.lattices.product import ProductLattice
 from tests.conftest import interval_elements
+from tests.lattices.reference_env import ReferenceEnvLattice
 
 iv = IntervalLattice()
 KEYS = ("a", "b", "c")
@@ -31,6 +33,12 @@ def lat() -> ArrayEnvLattice:
     return ArrayEnvLattice(KEYS, iv)
 
 
+@pytest.fixture
+def other() -> ArrayEnvLattice:
+    """The same keys under another schema, declared in another order."""
+    return ArrayEnvLattice(reversed(KEYS), iv)
+
+
 def env(lat, **bindings) -> ArrayEnv:
     data = {k: iv.bottom for k in KEYS}
     data.update(bindings)
@@ -38,22 +46,31 @@ def env(lat, **bindings) -> ArrayEnv:
 
 
 class TestFrozenMapInterop:
-    """ArrayEnv elements and plain FrozenMaps of the same bindings must
-    be interchangeable -- decoded snapshots meet live values as dict
-    keys (contexts, memo tables) and in equality checks."""
+    """Environments with the same bindings are interchangeable whatever
+    their schema, and equal plain mappings of those bindings -- a
+    snapshot resumed by a new analysis meets live values as dict keys
+    and in equality checks."""
 
     def test_is_a_frozen_map(self, lat):
-        assert isinstance(lat.top, FrozenMap)
+        assert isinstance(lat.top, Mapping)
+        assert isinstance(lat.top, Hashable)
+        with pytest.raises(TypeError):
+            lat.top["a"] = const(1)
 
-    def test_equal_to_a_frozen_map_of_the_same_bindings(self, lat):
+    def test_equal_to_a_frozen_map_of_the_same_bindings(self, lat, other):
         a = env(lat, a=const(1))
-        f = FrozenMap({"a": const(1), "b": iv.bottom, "c": iv.bottom})
+        f = env(other, a=const(1))
+        assert f.schema is not a.schema
         assert a == f
         assert f == a
+        plain = {"a": const(1), "b": iv.bottom, "c": iv.bottom}
+        assert a == plain
+        assert plain == a
+        assert a != env(other, a=const(2))
 
-    def test_hash_agrees_with_frozen_map(self, lat):
+    def test_hash_agrees_with_frozen_map(self, lat, other):
         a = env(lat, a=const(1))
-        f = FrozenMap(dict(a))
+        f = env(other, a=const(1))
         assert hash(a) == hash(f)
         assert len({a: 1, f: 2}) == 1
 
@@ -78,31 +95,45 @@ class TestLatticeOps:
         assert lat.bottom is lat.bottom
         assert lat.top is lat.top
 
-    def test_ops_match_map_lattice(self, lat):
-        reference = MapLattice(KEYS, iv)
-        a = env(lat, a=Interval(0, 3), b=const(1))
-        b = env(lat, a=Interval(2, 9), c=const(4))
-        for name in ("join", "meet", "widen", "narrow"):
-            mine = getattr(lat, name)(a, b)
-            theirs = getattr(reference, name)(FrozenMap(dict(a)), FrozenMap(dict(b)))
-            assert mine == theirs, name
+    @given(st.lists(interval_elements(), min_size=6, max_size=6))
+    def test_ops_match_map_lattice(self, draws):
+        lat = ArrayEnvLattice(KEYS, iv)
+        reference = ReferenceEnvLattice(KEYS, iv)
+        a = lat.make(dict(zip(KEYS, draws[:3])))
+        b = lat.make(dict(zip(KEYS, draws[3:])))
+        for x, y in ((a, b), (b, a), (a, a)):
+            for name in ("join", "meet", "widen", "narrow"):
+                mine = getattr(lat, name)(x, y)
+                assert mine.schema is lat.schema, name
+                assert mine == getattr(reference, name)(dict(x), dict(y)), name
+            assert lat.leq(x, y) is reference.leq(dict(x), dict(y))
+            assert lat.equal(x, y) is reference.equal(dict(x), dict(y))
         assert lat.leq(a, lat.join(a, b))
-        assert lat.equal(a, a)
-        assert not lat.equal(a, b)
 
-    def test_ops_accept_plain_mappings(self, lat):
+    def test_ops_accept_plain_mappings(self, lat, other):
+        """An environment of another schema over the same keys -- one a
+        resumed snapshot carries -- is read by key."""
         a = env(lat, a=const(1))
-        f = FrozenMap(dict(env(lat, a=const(2))))
+        f = env(other, a=const(2))
         joined = lat.join(a, f)
-        assert isinstance(joined, ArrayEnv)
+        assert joined.schema is lat.schema
         assert joined["a"] == Interval(1, 2)
+        assert lat.join(f, a) == joined
+        assert lat.leq(a, joined) and lat.leq(f, joined)
+        assert not lat.leq(joined, f)
+        assert lat.equal(env(other, a=const(1)), a)
+        widened = lat.widen(a, f)
+        assert widened.schema is lat.schema
+        assert widened["a"] == Interval(1, float("inf"))
 
     def test_validate(self, lat):
         from repro.lattices import LatticeError
 
         lat.validate(lat.top)
         with pytest.raises(LatticeError):
-            lat.validate(FrozenMap({"a": iv.bottom}))
+            lat.validate({"a": iv.bottom, "b": iv.bottom, "c": iv.bottom})
+        with pytest.raises(LatticeError):
+            lat.validate(ArrayEnvLattice(("a",), iv).top)
 
     def test_schema_is_shared(self, lat):
         assert env(lat).schema is lat.schema
@@ -116,8 +147,7 @@ class TestCodecRoundTrip:
         codec = value_codec(lat)
         a = env(lat, a=Interval(0, 5), b=const(3))
         decoded = codec.decode(codec.encode(a))
-        # The codec may decode to a plain FrozenMap; interop guarantees
-        # equality, hashing and lattice ops still line up.
+        assert decoded.schema is lat.schema
         assert decoded == a
         assert hash(decoded) == hash(a)
         assert lat.equal(decoded, a)
@@ -193,7 +223,8 @@ class TestEqualFastPath:
         b = lat.make(dict(zip(KEYS, b_values)))
         expected = _pointwise_equal(value, a, b)
         assert lat.equal(a, b) is expected
-        assert lat.equal(a, FrozenMap(dict(b))) is expected
+        other = ArrayEnvLattice(reversed(KEYS), value)
+        assert lat.equal(a, other.make(b)) is expected
 
     @given(
         st.lists(st.tuples(interval_elements(), _SETS), min_size=3, max_size=3),
