@@ -347,12 +347,17 @@ def cmd_dump_cfg(args) -> int:
 
 
 def cmd_incr(args) -> int:
+    from dataclasses import replace
+
     from repro.incremental import SolverState, capture, reanalyze_program
 
     # The snapshot names its solver, so the warm start resumes the same one.
-    old = configure(_job(args))
+    job = _job(args)
+    old = configure(job)
     old.single_pass("as a warm start")
-    new_cfg = compile_program(_read_source(args.edited))
+    # The edited program is configured on its own: its thresholds, not
+    # the original's, shape the warm and the from-scratch re-solve.
+    new = configure(replace(job, source=_read_source(args.edited)))
     result = collect_analysis(old.analysis, solve(old))
     state = capture(result.solver_result, old.solver.name)
     cold_evals = result.solver_result.stats.evaluations
@@ -373,10 +378,10 @@ def cmd_incr(args) -> int:
 
     report = reanalyze_program(
         old.cfg,
-        new_cfg,
+        new.cfg,
         state,
-        old.domain,
-        policy=old.policy,
+        new.domain,
+        policy=new.policy,
         max_evals=args.max_evals,
         closure=args.closure,
         reset=args.reset,
@@ -634,9 +639,6 @@ def _service_client(args):
 
 
 def cmd_serve(args) -> int:
-    import asyncio
-    import signal
-
     from repro.service import AnalysisDaemon, ServiceConfig
 
     if args.socket is None and args.port is None:
@@ -660,7 +662,19 @@ def cmd_serve(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        for flag, path in (
+            ("--cache-file", args.cache_file),
+            ("--journal-file", args.journal_file),
+        ):
+            if path is not None:
+                print(
+                    f"error: --shards keeps every shard's state under the "
+                    f"fleet directory; drop {flag}",
+                    file=sys.stderr,
+                )
+                return 2
         from repro.fleet import FleetConfig, serve_fleet
+        from repro.service.supervisor import option_flags
 
         return serve_fleet(
             FleetConfig(
@@ -675,6 +689,18 @@ def cmd_serve(args) -> int:
                 cache_entries=args.cache_entries,
                 queue_high=args.queue_high,
                 read_timeout=args.read_timeout,
+                extra_shard_args=tuple(
+                    option_flags(
+                        args,
+                        (
+                            "cache_ttl",
+                            "warm_ratio",
+                            "queue_low",
+                            "max_connections",
+                            "shed_retry_ms",
+                        ),
+                    )
+                ),
                 log_path=args.log_file,
             )
         )
@@ -706,14 +732,7 @@ def cmd_serve(args) -> int:
     )
     daemon = AnalysisDaemon(config)
 
-    async def _serve() -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, daemon.request_shutdown)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-UNIX loops; Ctrl-C still raises KeyboardInterrupt
-        await daemon.start()
+    def ready() -> None:
         address = daemon.address
         if address[0] == "unix":
             print(f"listening on unix socket {address[1]}", flush=True)
@@ -735,9 +754,8 @@ def cmd_serve(args) -> int:
                 f"interrupted request(s)",
                 flush=True,
             )
-        await daemon.serve_until_shutdown()
 
-    asyncio.run(_serve())
+    daemon.run(ready)
     print("daemon stopped")
     return 0
 

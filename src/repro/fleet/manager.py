@@ -314,9 +314,6 @@ def serve_fleet(config: FleetConfig) -> int:
     ``shutdown`` request or signal, then drains the shards.  Returns a
     CLI exit code.
     """
-    import asyncio
-    import signal
-
     os.makedirs(config.resolved_run_dir(), exist_ok=True)
     os.makedirs(config.resolved_shared_dir(), exist_ok=True)
     manager = ShardManager(
@@ -331,14 +328,7 @@ def serve_fleet(config: FleetConfig) -> int:
         manager.stop()
         return 4
 
-    async def _serve() -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, router.request_shutdown)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await router.start()
+    def ready() -> None:
         print(
             f"fleet: {config.shards} shard(s) ready; router listening on "
             f"unix socket {config.socket_path}",
@@ -346,10 +336,9 @@ def serve_fleet(config: FleetConfig) -> int:
         )
         if router.stale_socket_removed:
             print("router: removed a stale socket left by a crash", flush=True)
-        await router.serve_until_shutdown()
 
     try:
-        asyncio.run(_serve())
+        router.run(ready)
     finally:
         drained = manager.drain()
         print(

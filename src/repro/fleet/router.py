@@ -41,6 +41,10 @@ Routing and resilience:
   per-shard health, ring version, shared-index counters); ``shutdown``
   drains the router (shard lifecycle belongs to the
   :class:`~repro.fleet.manager.ShardManager`).
+
+Listening, the connection loop, request ids (``f000001``...) and the
+close sequence are the :class:`~repro.service.sockets.LineServer` core
+the daemon runs on too.
 """
 
 from __future__ import annotations
@@ -55,17 +59,17 @@ from typing import Dict, List, Optional, Tuple
 from repro.fleet.ring import DEFAULT_REPLICAS, HashRing
 from repro.batch.jobs import spec_fingerprint
 from repro.service.protocol import (
+    MAX_LINE_BYTES,
     PROTOCOL,
     ProtocolError,
     check_request_to_jobspec,
     decode,
     encode,
     error_response,
-    request_operation,
     solve_request_to_jobspec,
 )
 from repro.service.reqlog import RequestLog
-from repro.service.sockets import RequestLines, prepare_socket_path
+from repro.service.sockets import LineServer
 
 #: One connection to a shard: its reader and writer.
 Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
@@ -150,8 +154,10 @@ class RouterConfig:
     log_path: Optional[str] = None
 
 
-class RouterDaemon:
+class RouterDaemon(LineServer):
     """One fleet front-end over N shard daemons."""
+
+    id_prefix = "f"
 
     def __init__(
         self,
@@ -162,66 +168,36 @@ class RouterDaemon:
         if not config.shards:
             raise ValueError("a router needs at least one shard")
         self.config = config
-        self.log = log or RequestLog(path=config.log_path)
-        self.started_at = time.time()
         self.shards: Dict[str, ShardLink] = {
             shard_id: ShardLink(shard_id, socket_path)
             for shard_id, socket_path in config.shards
         }
         if len(self.shards) != len(config.shards):
             raise ValueError("shard ids must be unique")
+        super().__init__(
+            log or RequestLog(path=config.log_path),
+            (
+                "total", "forwarded", "failovers", "unavailable", "errors",
+                "health_probes", "stalled", "disconnected",
+            ),
+            socket_path=config.socket_path,
+            read_timeout=config.read_timeout,
+        )
         self.ring = HashRing(self.shards, replicas=config.replicas)
-        self.counters: Dict[str, int] = {
-            "total": 0,
-            "forwarded": 0,
-            "failovers": 0,
-            "unavailable": 0,
-            "errors": 0,
-            "health_probes": 0,
-            "stalled": 0,
-            "disconnected": 0,
-        }
-        self.stale_socket_removed = False
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._lines = RequestLines(config.read_timeout)
         #: Idle time after which a pooled connection is not reused.
         self._max_idle = (
             None if config.read_timeout is None else config.read_timeout / 2
         )
         self._health_task: Optional[asyncio.Task] = None
-        self._seq = 0
-        self._draining = False
-        self._done = asyncio.Event()
 
     # ----------------------------------------------------------------- #
     # Lifecycle.                                                        #
     # ----------------------------------------------------------------- #
 
-    @property
-    def address(self) -> Tuple[str, str]:
-        return ("unix", self.config.socket_path)
-
     async def start(self) -> None:
-        self.stale_socket_removed = prepare_socket_path(
-            self.config.socket_path
-        )
-        self._server = await asyncio.start_unix_server(
-            self._handle_client, path=self.config.socket_path
-        )
+        await super().start()
         if self.config.health_interval is not None:
             self._health_task = asyncio.ensure_future(self._health_loop())
-
-    async def serve_until_shutdown(self) -> None:
-        await self._done.wait()
-        await self._close()
-
-    async def run(self) -> None:
-        await self.start()
-        await self.serve_until_shutdown()
-
-    def request_shutdown(self) -> None:
-        self._draining = True
-        self._done.set()
 
     async def _close(self) -> None:
         if self._health_task is not None:
@@ -230,15 +206,8 @@ class RouterDaemon:
                 await self._health_task
             except asyncio.CancelledError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            self._lines.close_idle()
-            await self._server.wait_closed()
         for link in self.shards.values():
             link.close_idle()
-        if os.path.exists(self.config.socket_path):
-            os.unlink(self.config.socket_path)
-        self.log.close()
 
     # ----------------------------------------------------------------- #
     # Health.                                                           #
@@ -279,123 +248,44 @@ class RouterDaemon:
         return ok
 
     # ----------------------------------------------------------------- #
-    # Connection handling (client side).                                #
-    # ----------------------------------------------------------------- #
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    line = await self._lines.read(reader, writer)
-                except asyncio.TimeoutError:
-                    self.counters["stalled"] += 1
-                    writer.write(
-                        encode(
-                            error_response(
-                                None,
-                                f"no request line within the "
-                                f"{self.config.read_timeout:g}s read "
-                                f"deadline",
-                                code="timeout",
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        encode(error_response(None, "request line too long"))
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.endswith(b"\n"):
-                    self.counters["disconnected"] += 1
-                    break
-                if not line.strip():
-                    continue
-                response, close = await self._dispatch(line)
-                try:
-                    writer.write(response)
-                    await writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    self.counters["disconnected"] += 1
-                    break
-                if close:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.CancelledError,
-            ):
-                pass
-
-    # ----------------------------------------------------------------- #
     # Dispatch.                                                         #
     # ----------------------------------------------------------------- #
 
-    async def _dispatch(self, line: bytes) -> Tuple[bytes, bool]:
-        """Route one request line; returns (response bytes, close?)."""
-        self._seq += 1
-        rid = f"f{self._seq:06d}"
-        self.counters["total"] += 1
-        try:
-            message = decode(line)
-            op = request_operation(message)
-        except ProtocolError as err:
-            self.counters["errors"] += 1
-            self.log.log(request=rid, op="?", outcome="error", error=str(err))
-            return encode(error_response(None, str(err), request=rid)), False
-
+    async def _handle(self, op: str, message: dict, rid: str):
+        """Answer control ops; place, forward and fail over the rest."""
         if op == "ping":
-            return encode(
-                {
-                    "ok": True,
-                    "op": "ping",
-                    "protocol": PROTOCOL,
-                    "request": rid,
-                    "role": "router",
-                    "shards": len(self.shards),
-                }
-            ), False
+            return {
+                "ok": True,
+                "op": "ping",
+                "protocol": PROTOCOL,
+                "request": rid,
+                "role": "router",
+                "shards": len(self.shards),
+            }, False
         if op == "status":
-            return encode(await self._status(rid)), False
+            return await self._status(rid), False
         if op == "shutdown":
-            self._draining = True
             self.log.log(request=rid, op="shutdown", outcome="drained")
-            self._done.set()
-            return encode(
-                {
-                    "ok": True,
-                    "op": "shutdown",
-                    "request": rid,
-                    "role": "router",
-                    "drained": True,
-                }
-            ), True
+            self.request_shutdown()
+            return {
+                "ok": True,
+                "op": "shutdown",
+                "request": rid,
+                "role": "router",
+                "drained": True,
+            }, True
         if op == "solvers":
             # Any shard's catalogue is every shard's catalogue.
-            return await self._forward_any(message, rid, op)
+            return await self._forward(message, rid, op), False
 
         # solve / check: place on the ring, forward, fail over.
         if self._draining:
             self.counters["errors"] += 1
-            return encode(
-                error_response(
-                    op,
-                    "router is draining; resubmit elsewhere",
-                    code="draining",
-                    request=rid,
-                )
+            return error_response(
+                op,
+                "router is draining; resubmit elsewhere",
+                code="draining",
+                request=rid,
             ), False
         try:
             normalize = (
@@ -406,9 +296,7 @@ class RouterDaemon:
             spec, _ = normalize(message)
             key = spec_fingerprint(spec)
         except ProtocolError as err:
-            self.counters["errors"] += 1
-            self.log.log(request=rid, op=op, outcome="error", error=str(err))
-            return encode(error_response(op, str(err), request=rid)), False
+            return self._bad_request(rid, op, err), False
         return await self._forward(message, rid, op, key), False
 
     # ----------------------------------------------------------------- #
@@ -435,7 +323,7 @@ class RouterDaemon:
                     reply = await self._exchange(link, connection, payload)
             if not reply:
                 connection = await asyncio.open_unix_connection(
-                    link.socket_path
+                    link.socket_path, limit=MAX_LINE_BYTES
                 )
                 link.connects += 1
                 reply = await self._exchange(link, connection, payload)
@@ -469,26 +357,22 @@ class RouterDaemon:
                 writer.close()
         return reply
 
-    def _ranked(self, key: Optional[str]) -> List[ShardLink]:
-        """Shards to try for ``key``: healthy in preference order, then
-        unhealthy ones as a last resort (a probe may be stale)."""
-        order = (
-            self.ring.preference(key)
-            if key is not None
-            else tuple(self.shards)
-        )
-        links = [self.shards[s] for s in order]
-        return [x for x in links if x.healthy] + [
-            x for x in links if not x.healthy
-        ]
-
     async def _forward(
-        self, message: dict, rid: str, op: str, key: str
+        self, message: dict, rid: str, op: str, key: Optional[str] = None
     ) -> bytes:
+        """Forward to the first shard that answers: healthy shards in
+        ``key``'s ring preference order, then unhealthy ones as a last
+        resort (a probe may be stale).  Without a key (``solvers``, whose
+        catalogue every shard shares) the order is the configured one.
+        """
         payload = encode(message)
-        owner = self.ring.lookup(key)
+        order = self.ring.preference(key) if key is not None else self.shards
+        links = [self.shards[s] for s in order]
+        owner = links[0].shard_id if key is not None else None
         attempts = 0
-        for link in self._ranked(key):
+        for link in [x for x in links if x.healthy] + [
+            x for x in links if not x.healthy
+        ]:
             attempts += 1
             try:
                 reply = await self._roundtrip(
@@ -506,6 +390,10 @@ class RouterDaemon:
                     error=f"{type(err).__name__}: {err}",
                 )
                 continue
+            except ValueError:  # a reply line above MAX_LINE_BYTES
+                return encode(self._bad_request(rid, op, ProtocolError(
+                    f"the reply exceeds {MAX_LINE_BYTES} bytes"
+                )))
             link.forwarded += 1
             link.healthy = True
             link.last_ok = time.monotonic()
@@ -536,33 +424,6 @@ class RouterDaemon:
                 request=rid,
             )
         )
-
-    async def _forward_any(
-        self, message: dict, rid: str, op: str
-    ) -> Tuple[bytes, bool]:
-        payload = encode(message)
-        for link in self._ranked(None):
-            try:
-                reply = await self._roundtrip(
-                    link, payload, timeout=self.config.shard_timeout
-                )
-            except (OSError, asyncio.TimeoutError):
-                link.failures += 1
-                link.healthy = False
-                continue
-            link.forwarded += 1
-            self.counters["forwarded"] += 1
-            return reply, False
-        self.counters["unavailable"] += 1
-        return encode(
-            error_response(
-                op,
-                "no shard reachable",
-                code="unavailable",
-                retry_after_ms=500,
-                request=rid,
-            )
-        ), False
 
     # ----------------------------------------------------------------- #
     # Status aggregation.                                               #

@@ -39,7 +39,9 @@ Production hardening (see ``docs/service-reliability.md``):
 * **read deadlines** -- a connection that delivers no complete request
   line within the deadline, idle between requests or stalled mid-line,
   is answered with a ``timeout`` error and closed, so slow clients
-  cannot pin protocol handling forever;
+  cannot pin protocol handling forever (the connection loop is the
+  :class:`~repro.service.sockets.LineServer` core, shared with the
+  fleet router);
 * **crash-safe journaling** (:mod:`.journal`) -- admitted requests are
   journaled before work starts and settled at response; a restarted
   daemon reports interrupted requests and re-executes them into the
@@ -70,15 +72,12 @@ from repro.service.protocol import (
     PROTOCOL,
     ProtocolError,
     check_request_to_jobspec,
-    decode,
-    encode,
     error_response,
     program_sha,
-    request_operation,
     solve_request_to_jobspec,
 )
 from repro.service.reqlog import RequestLog
-from repro.service.sockets import RequestLines, prepare_socket_path
+from repro.service.sockets import LineServer
 from repro.solvers.registry import capability_listing
 
 #: Result statuses worth caching: complete, independently verified
@@ -134,12 +133,25 @@ class ServiceConfig:
     #: fleet-wide, exact repeats missed locally are answered from the
     #: store, and sibling shards' snapshots serve as warm donors.
     shared_dir: Optional[str] = None
-    #: Shared-store entry bound (pruned oldest-first beyond it).
-    shared_max_entries: int = 4096
 
 
-class AnalysisDaemon:
-    """One persistent analysis service instance."""
+#: Request counters by outcome, served via ``status``.
+_COUNTERS = (
+    "total", "solve", "check", "hit", "warm", "miss", "bypass",
+    "coalesced", "errors", "rejected", "shed", "stalled", "disconnected",
+    "deadline", "requeued", "shared_hit", "shared_warm",
+)
+
+
+class AnalysisDaemon(LineServer):
+    """One persistent analysis service instance.
+
+    Listening, the connection loop, request ids and the close sequence
+    are the :class:`~repro.service.sockets.LineServer` core's; the daemon
+    adds admission and the connection cap, the journal, the cache and
+    shared store, single-flight execution on its worker pool, requeueing
+    and persistence.
+    """
 
     def __init__(
         self,
@@ -149,98 +161,55 @@ class AnalysisDaemon:
         log: Optional[RequestLog] = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.cache = cache or ResultCache(
-            max_entries=self.config.cache_entries,
-            ttl=self.config.cache_ttl,
+        cfg = self.config
+        super().__init__(
+            log or RequestLog(path=cfg.log_path),
+            _COUNTERS,
+            socket_path=cfg.socket_path,
+            read_timeout=cfg.read_timeout,
+            host=cfg.host,
+            port=cfg.port,
         )
-        self.log = log or RequestLog(path=self.config.log_path)
-        self.started_at = time.time()
-        #: Request counters by outcome, served via ``status``.
-        self.counters: Dict[str, int] = {
-            "total": 0,
-            "solve": 0,
-            "check": 0,
-            "hit": 0,
-            "warm": 0,
-            "miss": 0,
-            "bypass": 0,
-            "coalesced": 0,
-            "errors": 0,
-            "rejected": 0,
-            "shed": 0,
-            "stalled": 0,
-            "disconnected": 0,
-            "deadline": 0,
-            "requeued": 0,
-            "shared_hit": 0,
-            "shared_warm": 0,
-        }
+        self.cache = cache or ResultCache(
+            max_entries=cfg.cache_entries, ttl=cfg.cache_ttl
+        )
         self.shared = None
-        if self.config.shared_dir is not None:
+        if cfg.shared_dir is not None:
             # Deferred import: repro.fleet depends on repro.service, so
             # the service package must not import it at module time.
             from repro.fleet.store import SharedStore
 
-            self.shared = SharedStore(
-                self.config.shared_dir,
-                max_entries=self.config.shared_max_entries,
-            )
+            self.shared = SharedStore(cfg.shared_dir)
         self.admission = AdmissionController(
-            queue_high=self.config.queue_high,
-            queue_low=self.config.queue_low,
-            max_connections=self.config.max_connections,
-            retry_ms=self.config.shed_retry_ms,
+            queue_high=cfg.queue_high,
+            queue_low=cfg.queue_low,
+            max_connections=cfg.max_connections,
+            retry_ms=cfg.shed_retry_ms,
         )
-        self.journal = InflightJournal(self.config.journal_path)
+        self.journal = InflightJournal(cfg.journal_path)
         self._requeue_task: Optional[asyncio.Task] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._lines = RequestLines(self.config.read_timeout)
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, self.config.workers),
+            max_workers=max(1, cfg.workers),
             thread_name_prefix="repro-service",
         )
-        self._seq = 0
-        self._draining = False
-        self._done = asyncio.Event()
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
         #: spec fingerprint -> in-flight execution (single-flight).
         self._singleflight: Dict[str, asyncio.Future] = {}
         self.cache_loaded = 0
-        #: Whether :meth:`start` removed a stale predecessor's socket.
-        self.stale_socket_removed = False
 
     # ----------------------------------------------------------------- #
     # Lifecycle.                                                        #
     # ----------------------------------------------------------------- #
 
-    @property
-    def address(self) -> Tuple:
-        """``("unix", path)`` or ``("tcp", host, port)`` once started."""
-        if self.config.socket_path is not None:
-            return ("unix", self.config.socket_path)
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return ("tcp", host, port)
-
     async def start(self) -> None:
-        """Bind the socket and restore the persisted cache index."""
+        """Restore the persisted cache index, bind, requeue recovered
+        journal records."""
         cfg = self.config
         if cfg.cache_path and os.path.exists(cfg.cache_path):
             self.cache_loaded = self.cache.load(cfg.cache_path)
-        if cfg.socket_path is not None:
-            # Probe before binding: unlink only a *stale* socket (a
-            # crashed predecessor's corpse); a live listener raises
-            # SocketInUseError instead of being hijacked.
-            self.stale_socket_removed = prepare_socket_path(cfg.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=cfg.socket_path
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client, host=cfg.host, port=cfg.port
-            )
+        await super().start()
         if self.journal.recovered and cfg.requeue_recovered:
             self._requeue_task = asyncio.ensure_future(self._requeue())
 
@@ -287,26 +256,7 @@ class AnalysisDaemon:
             finally:
                 self.journal.settle(rid)
 
-    async def serve_until_shutdown(self) -> None:
-        """Serve until a ``shutdown`` request (or :meth:`request_shutdown`)."""
-        await self._done.wait()
-        await self._close()
-
-    async def run(self) -> None:
-        """Start and serve; the CLI's whole daemon lifetime."""
-        await self.start()
-        await self.serve_until_shutdown()
-
-    def request_shutdown(self) -> None:
-        """Trigger a graceful drain from outside the protocol (signals)."""
-        self._draining = True
-        self._done.set()
-
     async def _close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            self._lines.close_idle()
-            await self._server.wait_closed()
         if self._requeue_task is not None and not self._requeue_task.done():
             # The requeue loop checks _draining between records, so this
             # finishes promptly once a drain has begun.
@@ -318,12 +268,6 @@ class AnalysisDaemon:
         self._persist()
         self.journal.close()
         self._pool.shutdown(wait=True)
-        if (
-            self.config.socket_path is not None
-            and os.path.exists(self.config.socket_path)
-        ):
-            os.unlink(self.config.socket_path)
-        self.log.close()
 
     async def _drain(self) -> None:
         """Wait until no request is executing."""
@@ -337,136 +281,25 @@ class AnalysisDaemon:
         return self.cache.save(self.config.cache_path)
 
     # ----------------------------------------------------------------- #
-    # Connection handling.                                              #
+    # Connections and dispatch.                                         #
     # ----------------------------------------------------------------- #
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername") or "unix"
-        if not self.admission.try_connect():
-            await self._refuse_connection(writer)
-            return
-        try:
-            while True:
-                try:
-                    line = await self._lines.read(reader, writer)
-                except asyncio.TimeoutError:
-                    # A stalled client: no complete request line within
-                    # the read deadline.  Answer, close, free the slot.
-                    self.counters["stalled"] += 1
-                    self.log.log(
-                        request="-", op="?", outcome="stalled",
-                        peer=str(peer),
-                    )
-                    writer.write(
-                        encode(
-                            error_response(
-                                None,
-                                f"no request line within the "
-                                f"{self.config.read_timeout:g}s read "
-                                f"deadline",
-                                code="timeout",
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        encode(error_response(None, "request line too long"))
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.endswith(b"\n"):
-                    # EOF mid-line: the client died (or the connection
-                    # was cut) partway through writing a request.  There
-                    # is nothing well-formed to answer.
-                    self.counters["disconnected"] += 1
-                    self.log.log(
-                        request="-",
-                        op="?",
-                        outcome="disconnected",
-                        peer=str(peer),
-                        partial_bytes=len(line),
-                    )
-                    break
-                if not line.strip():
-                    continue
-                response, close = await self._dispatch(line, peer)
-                try:
-                    writer.write(encode(response))
-                    await writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    # The client vanished between request and response;
-                    # the work is done (and cached) but unclaimed.
-                    self.counters["disconnected"] += 1
-                    self.log.log(
-                        request=response.get("request", "-"),
-                        op=response.get("op", "?"),
-                        outcome="disconnected",
-                        peer=str(peer),
-                    )
-                    break
-                if close:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self.admission.disconnect()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.CancelledError,
-            ):
-                # Peer went away, or the loop is tearing down around us
-                # after a drain -- either way the connection is gone.
-                pass
+    def _connect(self) -> Optional[dict]:
+        """Refuse a connection past the cap with ``overloaded``."""
+        if self.admission.try_connect():
+            return None
+        return error_response(
+            None,
+            f"connection limit reached "
+            f"({self.admission.max_connections} active)",
+            code="overloaded",
+            retry_after_ms=self.admission.retry_after_ms(),
+        )
 
-    async def _refuse_connection(
-        self, writer: asyncio.StreamWriter
-    ) -> None:
-        """Answer ``overloaded`` and close a connection past the cap."""
-        try:
-            writer.write(
-                encode(
-                    error_response(
-                        None,
-                        f"connection limit reached "
-                        f"({self.admission.max_connections} active)",
-                        code="overloaded",
-                        retry_after_ms=self.admission.retry_after_ms(),
-                    )
-                )
-            )
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    def _disconnect(self) -> None:
+        self.admission.disconnect()
 
-    async def _dispatch(self, line: bytes, peer) -> Tuple[dict, bool]:
-        """Route one request line; returns (response, close-connection)."""
-        self._seq += 1
-        rid = f"r{self._seq:06d}"
-        self.counters["total"] += 1
-        try:
-            message = decode(line)
-            op = request_operation(message)
-        except ProtocolError as err:
-            self.counters["errors"] += 1
-            self.log.log(request=rid, op="?", outcome="error", error=str(err))
-            return error_response(None, str(err), request=rid), False
-
+    async def _handle(self, op: str, message: dict, rid: str):
         if op == "ping":
             return {
                 "ok": True,
@@ -521,7 +354,7 @@ class AnalysisDaemon:
                 request=rid,
             ), False
         try:
-            return await self._solve(message, rid, peer, op), False
+            return await self._solve(message, rid, op), False
         finally:
             self.admission.release()
 
@@ -557,7 +390,7 @@ class AnalysisDaemon:
         await self._drain()
         persisted = self._persist()
         self.log.log(request=rid, op="shutdown", outcome="drained")
-        self._done.set()
+        self.request_shutdown()
         return {
             "ok": True,
             "op": "shutdown",
@@ -567,7 +400,7 @@ class AnalysisDaemon:
             "journal_open": len(self.journal),
         }
 
-    async def _solve(self, message: dict, rid: str, peer, op: str) -> dict:
+    async def _solve(self, message: dict, rid: str, op: str) -> dict:
         """``solve`` and ``check``: one pipeline, two normalizers.
 
         The two operations differ only in request normalization (a
@@ -586,9 +419,7 @@ class AnalysisDaemon:
                 message, default_deadline=self.config.default_deadline
             )
         except ProtocolError as err:
-            self.counters["errors"] += 1
-            self.log.log(request=rid, op=op, outcome="error", error=str(err))
-            return error_response(op, str(err), request=rid)
+            return self._bad_request(rid, op, err)
 
         key = spec_fingerprint(spec)
         # Journal at admission, settle at response: the window in

@@ -160,6 +160,26 @@ class RestartSupervisor:
                 signal.signal(sig, handler)
 
 
+#: The per-daemon options of ``repro serve``, by argparse destination:
+#: each is replayed as ``--<name with dashes> VALUE`` when set.
+DAEMON_OPTIONS = (
+    "workers", "cache_entries", "cache_ttl", "cache_file", "deadline",
+    "warm_ratio", "log_file", "queue_high", "queue_low", "max_connections",
+    "shed_retry_ms", "read_timeout", "journal_file", "shared_dir",
+)
+
+
+def option_flags(args, names: Sequence[str] = DAEMON_OPTIONS) -> List[str]:
+    """The ``repro serve`` flags replaying the options ``names`` set in
+    the parsed namespace ``args``."""
+    argv = []
+    for name in names:
+        value = getattr(args, name, None)
+        if value is not None:
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
 def serve_command(args) -> List[str]:
     """The child argv replaying a parsed ``repro serve`` invocation.
 
@@ -171,26 +191,4 @@ def serve_command(args) -> List[str]:
         argv += ["--socket", args.socket]
     if args.port is not None:
         argv += ["--host", args.host, "--port", str(args.port)]
-    argv += ["--workers", str(args.workers)]
-    argv += ["--cache-entries", str(args.cache_entries)]
-    if args.cache_ttl is not None:
-        argv += ["--cache-ttl", str(args.cache_ttl)]
-    if args.cache_file is not None:
-        argv += ["--cache-file", args.cache_file]
-    if args.deadline is not None:
-        argv += ["--deadline", str(args.deadline)]
-    argv += ["--warm-ratio", str(args.warm_ratio)]
-    if args.log_file is not None:
-        argv += ["--log-file", args.log_file]
-    argv += ["--queue-high", str(args.queue_high)]
-    if args.queue_low is not None:
-        argv += ["--queue-low", str(args.queue_low)]
-    argv += ["--max-connections", str(args.max_connections)]
-    argv += ["--shed-retry-ms", str(args.shed_retry_ms)]
-    if args.read_timeout is not None:
-        argv += ["--read-timeout", str(args.read_timeout)]
-    if args.journal_file is not None:
-        argv += ["--journal-file", args.journal_file]
-    if getattr(args, "shared_dir", None) is not None:
-        argv += ["--shared-dir", args.shared_dir]
-    return argv
+    return argv + option_flags(args)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -189,8 +190,9 @@ class TestCrashRecovery:
         source = slow_program()
 
         # Fire the solve and SIGKILL the daemon as soon as its journal
-        # shows the begin record -- deterministically before the reply,
-        # since the solve itself takes orders of magnitude longer.
+        # holds the whole begin record, newline included (a torn line is
+        # skipped on replay) -- deterministically before the reply, since
+        # the solve itself takes orders of magnitude longer.
         client = ServiceClient(
             socket_path=socket_path, timeout=120.0, retry=RetryPolicy(attempts=1)
         )
@@ -207,9 +209,8 @@ class TestCrashRecovery:
         thread.start()
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            if (
-                os.path.exists(journal_path)
-                and '"event":"begin"' in Path(journal_path).read_text()
+            if os.path.exists(journal_path) and re.search(
+                r'"event":"begin"[^\n]*\n', Path(journal_path).read_text()
             ):
                 break
             time.sleep(0.002)

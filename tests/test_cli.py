@@ -395,6 +395,25 @@ class TestDomainsAndThresholds:
         assert code == 0
         assert f"unknowns, {evaluations} evaluations" in capsys.readouterr().out
 
+    def test_incr_solves_the_edited_program_with_its_own_thresholds(
+        self, tmp_path, capsys
+    ):
+        """The warm and the from-scratch re-solve of ``repro incr`` use
+        the thresholds of the edited program, as ``repro analyze`` of it
+        does, not those of the original."""
+        import re
+
+        old = tmp_path / "old.mc"
+        old.write_text(self.NESTED.replace("i < 5", "i < 10"))
+        new = tmp_path / "new.mc"
+        new.write_text(self.NESTED.replace("i < 5", "i < 100"))
+        assert main(["analyze", str(new), "--op", "threshold-widen"]) == 0
+        found = re.search(r"(\d+) evaluations", capsys.readouterr().out)
+        code = main(["incr", str(old), str(new), "--op", "threshold-widen"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"from-scratch re-solve: {found.group(1)} evaluations" in out
+
     def test_interval_congruence_domain(self, tmp_path):
         path = tmp_path / "stride.mc"
         path.write_text(self.STRIDE)
@@ -613,6 +632,50 @@ class TestServiceCommands:
     def test_serve_requires_an_address(self, capsys):
         assert main(["serve"]) == 2
         assert "--socket" in capsys.readouterr().err
+
+    #: Per-daemon options of ``repro serve`` and their values in the
+    #: shard argv of a fleet.
+    SHARD_OPTIONS = (
+        ("--cache-ttl", "60", "60.0"),
+        ("--warm-ratio", "0.2", "0.2"),
+        ("--queue-low", "4", "4"),
+        ("--max-connections", "8", "8"),
+        ("--shed-retry-ms", "100", "100"),
+    )
+
+    def test_shards_get_the_per_daemon_options(self, tmp_path, monkeypatch):
+        import repro.fleet
+        from repro.fleet import shard_plans
+
+        served = []
+        monkeypatch.setattr(
+            repro.fleet, "serve_fleet", lambda config: served.append(config) or 0
+        )
+        argv = ["serve", "--socket", str(tmp_path / "front.sock")]
+        argv += ["--shards", "2"]
+        for flag, value, _ in self.SHARD_OPTIONS:
+            argv += [flag, value]
+        assert main(argv) == 0
+        (config,) = served
+        for plan in shard_plans(config):
+            shard = list(plan.argv)
+            for flag, _, value in self.SHARD_OPTIONS:
+                assert shard[shard.index(flag) + 1] == value
+
+    @pytest.mark.parametrize("flag", ["--cache-file", "--journal-file"])
+    def test_shards_reject_a_single_daemon_file(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        import repro.fleet
+
+        served = []
+        monkeypatch.setattr(repro.fleet, "serve_fleet", served.append)
+        argv = ["serve", "--socket", str(tmp_path / "front.sock")]
+        argv += ["--shards", "2", flag, str(tmp_path / "file")]
+        assert main(argv) == 2
+        assert served == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
 
     def test_submit_requires_an_address(self, program_file, capsys):
         assert main(["submit", program_file]) == 2
